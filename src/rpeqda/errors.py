@@ -14,6 +14,18 @@ class DimensionMismatch(RpeQdaError):
     """Operand shapes are incompatible."""
 
 
+class NonFiniteInput(RpeQdaError):
+    """Input data holds a NaN or an infinite value."""
+
+
+class TooFewClasses(RpeQdaError, ValueError):
+    """A classifier was asked to fit fewer than two classes."""
+
+
+class UnknownProjectionFamily(RpeQdaError, ValueError):
+    """A projection family is not one of the supported families."""
+
+
 class NotPositiveDefinite(RpeQdaError):
     """A matrix required to be positive definite is singular or indefinite."""
 

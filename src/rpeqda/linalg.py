@@ -6,7 +6,11 @@ construction.  Factorizations are delegated to LAPACK (via numpy/scipy) and
 wrapped with the tolerance and error semantics this package requires.
 
 No inverse is ever materialized: every quadratic form and determinant goes
-through a Cholesky factor.
+through a Cholesky factor.  Stacks of small factors (one per ensemble member
+and class) are built by :func:`cholesky_stack` in one LAPACK call, and their
+quadratic forms come from :func:`forward_sq_norms`, a forward substitution
+written in NumPy that runs over all factors at once instead of making one
+LAPACK triangular solve per factor.
 """
 
 from dataclasses import dataclass
@@ -63,17 +67,45 @@ def cholesky(s: np.ndarray) -> CholeskyFactor:
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {s.shape}")
+    lower, log_det, ok = cholesky_stack(s)
+    if not ok:
+        pivots = np.diagonal(lower) ** 2
+        if np.isnan(pivots).any():
+            raise NotPositiveDefinite("non-positive or NaN pivot")
+        raise NotPositiveDefinite(
+            f"pivot {float(np.min(pivots)):.3e} at or below tolerance "
+            f"{_pivot_tolerance(s):.3e}")
+    return CholeskyFactor(lower=lower, log_det=float(log_det))
+
+
+def _pivot_tolerance(s):
+    return PIVOT_RTOL * np.maximum(np.max(np.diagonal(s, axis1=-2, axis2=-1), axis=-1), 0.0)
+
+
+def cholesky_stack(s: np.ndarray):
+    """Factor every matrix of an (..., dim, dim) stack in one LAPACK call.
+
+    Returns ``(lower, log_det, ok)`` with shapes (..., dim, dim), (...)
+    and (...).  ``ok`` is False where :func:`cholesky` would raise
+    ``NotPositiveDefinite``; ``lower`` and ``log_det`` are meaningful only
+    where ``ok`` holds.
+    """
+    s = np.asarray(s, dtype=np.float64)
     try:
         lower = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    diag = np.diagonal(lower)
-    tol = PIVOT_RTOL * max(float(np.max(np.diagonal(s))), 0.0)
-    if not np.all(diag * diag > tol):
-        raise NotPositiveDefinite(
-            f"pivot {float(np.min(diag * diag)):.3e} at or below tolerance {tol:.3e}")
-    log_det = 2.0 * float(np.sum(np.log(diag)))
-    return CholeskyFactor(lower=lower, log_det=log_det)
+    except np.linalg.LinAlgError:
+        # numpy rejects the whole stack when one matrix fails; factor the
+        # matrices one at a time to find which, leaving NaN in the failures.
+        lower = np.full_like(s, np.nan)
+        for idx in np.ndindex(s.shape[:-2]):
+            try:
+                lower[idx] = np.linalg.cholesky(s[idx])
+            except np.linalg.LinAlgError:
+                pass
+    diag = np.diagonal(lower, axis1=-2, axis2=-1)
+    ok = np.all(diag * diag > _pivot_tolerance(s)[..., None], axis=-1)
+    log_det = 2.0 * np.sum(np.log(diag), axis=-1)
+    return lower, log_det, ok
 
 
 def solve_quadratic_form(factor: CholeskyFactor, v: np.ndarray) -> float:
@@ -96,8 +128,32 @@ def solve_quadratic_form_rows(factor: CholeskyFactor, rows: np.ndarray) -> np.nd
     if rows.ndim != 2 or rows.shape[1] != factor.dim:
         raise DimensionMismatch(
             f"rows of shape {rows.shape} against factor of dim {factor.dim}")
-    y = solve_triangular(factor.lower, rows.T, lower=True, check_finite=False)
-    return np.einsum("ij,ij->j", y, y)
+    return forward_sq_norms(factor.lower, rows.T)
+
+
+def forward_sq_norms(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared column norms of ``L^{-1} b`` for a stack of factors.
+
+    ``lower`` is (..., dim, dim), lower triangular with a positive
+    diagonal, and ``b`` is (..., dim, n); their leading dimensions
+    broadcast.  Returns (..., n).  ``L^{-1} b`` is found by forward
+    substitution, one row of the solution per step, for every factor and
+    column at once, so the cost in Python calls is ``dim`` steps however
+    many factors the stack holds.
+    """
+    lower = np.asarray(lower, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    dim = lower.shape[-1]
+    if lower.shape[-2] != dim or b.ndim < 2 or b.shape[-2] != dim:
+        raise DimensionMismatch(
+            f"right-hand sides of shape {b.shape} against factors of shape {lower.shape}")
+    y = np.empty(np.broadcast_shapes(lower.shape[:-2], b.shape[:-2]) + b.shape[-2:])
+    for i in range(dim):
+        row = b[..., i, :]
+        if i:
+            row = row - (lower[..., i:i + 1, :i] @ y[..., :i, :])[..., 0, :]
+        y[..., i, :] = row / lower[..., i, i, None]
+    return np.einsum("...in,...in->...n", y, y)
 
 
 def qr_orthogonal(a: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     NotPositiveDefinite,
     SingularCovariance,
+    TooFewClasses,
     TooFewSamplesForClass,
 )
 
@@ -84,7 +85,7 @@ def fit_grouped(groups, n_total: int, ridge: float = 0.0) -> QdaModel:
     """Fit from pre-grouped (label, rows) pairs; shared by fit and the
     projected per-member fits of the ensemble."""
     if len(groups) < 2:
-        raise ValueError("QDA needs at least 2 classes")
+        raise TooFewClasses("QDA needs at least 2 classes")
     classes = tuple(_fit_class(label, rows, n_total, ridge)
                     for label, rows in groups)
     assert abs(sum(c.prior for c in classes) - 1.0) <= PRIOR_SUM_TOL

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, InvalidDimensions
+from .errors import DimensionMismatch, InvalidDimensions, UnknownProjectionFamily
 from .rng import stream
 
 
@@ -86,7 +86,7 @@ def generate(family: ProjectionFamily, d: int, p: int, seed: int) -> ProjectionM
         return ProjectionMatrix(
             family=family, d=d, p=p, seed=seed,
             rows=rows.astype(np.int64), cols=cols.astype(np.int64), signs=signs)
-    raise ValueError(f"unknown projection family {family!r}")
+    raise UnknownProjectionFamily(f"unknown projection family {family!r}")
 
 
 def project(r: ProjectionMatrix, x: np.ndarray) -> np.ndarray:

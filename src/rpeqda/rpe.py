@@ -16,7 +16,14 @@ mix(master_seed, b, attempt) for attempt = 1, 2, ... up to
 A known-parameter (population) mode constructs each member's projected
 model from exact moments: projected mean R mu_k and projected covariance
 R Sigma_k R', with Sigma_k applied columnwise through a structured handle
-so the ambient covariance is never materialized.
+so the ambient covariance is never materialized.  Members are built and
+scored in chunks of stacked arrays (one handle ``matvec``, one batched
+Cholesky and one batched whitening per class and chunk); a chunk holds as
+many members as fit in ``POPULATION_CHUNK_BYTES``, so memory stays bounded
+by that budget rather than growing with B.
+
+Non-finite input rows are rejected with ``NonFiniteInput`` rather than
+scored.
 """
 
 import math
@@ -29,16 +36,28 @@ from .dataset import Dataset
 from .errors import (
     DimensionMismatch,
     MemberDegenerate,
-    NotPositiveDefinite,
+    NonFiniteInput,
     ReducedDimTooLarge,
     SingularCovariance,
+    TooFewClasses,
 )
-from .linalg import cholesky
+from .linalg import cholesky_stack, forward_sq_norms
 from .randproj import ProjectionFamily, ProjectionMatrix, generate, project, project_many
 from .rng import mix
 
 DEFAULT_ENSEMBLE_SIZE = 200
 DEFAULT_DIM_CAP = 10
+
+# Population mode holds about this many bytes of stacked member arrays at
+# a time (matrices plus projected rows), so its memory does not grow with
+# B: 2 MiB holds 14 members at d = 8, p = 2000 with 100 rows and two
+# classes.  Larger chunks save little time once per-call overhead is
+# spread over a chunk, but cost memory.
+POPULATION_CHUNK_BYTES = 2 * 1024 * 1024
+
+# Finite checks scan this many values at a time, so they allocate no
+# temporary the size of the input.
+_FINITE_CHECK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -89,6 +108,17 @@ def member_seed(master_seed: int, b: int, attempt: int = 0) -> int:
     return mix(master_seed, b, attempt)
 
 
+def _require_finite(x: np.ndarray, what: str) -> None:
+    """Raise NonFiniteInput naming the first row of the 2-d ``x`` that
+    holds a NaN or an infinity."""
+    step = max(1, _FINITE_CHECK_VALUES // max(1, x.shape[1]))
+    for lo in range(0, x.shape[0], step):
+        bad = ~np.isfinite(x[lo:lo + step]).all(axis=1)
+        if bad.any():
+            raise NonFiniteInput(
+                f"{what}: row {lo + int(np.argmax(bad))} holds a non-finite value")
+
+
 def _fit_member(matrix, projected_rows, groups_idx, n_total, ridge):
     groups = [(label, projected_rows[idx]) for label, idx in groups_idx]
     return qda.fit_grouped(groups, n_total, ridge)
@@ -104,7 +134,8 @@ def rpe_fit(data: Dataset, config: RpeConfig) -> RpeModel:
     """
     labels = data.class_labels
     if len(labels) < 2:
-        raise ValueError("need at least 2 classes")
+        raise TooFewClasses("need at least 2 classes")
+    _require_finite(data.features, "training features")
     groups_idx = [(label, data.class_indices(label)) for label in labels]
     n_min = min(len(idx) for _, idx in groups_idx)
     d = config.d if config.d is not None else default_reduced_dim(data.p, n_min)
@@ -150,6 +181,7 @@ def rpe_scores_rows(model: RpeModel, z_rows: np.ndarray) -> np.ndarray:
     if z_rows.ndim != 2 or z_rows.shape[1] != model.p:
         raise DimensionMismatch(
             f"rows of shape {z_rows.shape} against model with p={model.p}")
+    _require_finite(z_rows, "rows to score")
     projected = project_many([m.matrix for m in model.members], z_rows)
     acc = np.zeros((z_rows.shape[0], len(model.class_labels)))
     for i, member in enumerate(model.members):
@@ -176,49 +208,89 @@ def rpe_predict_rows(model: RpeModel, z_rows: np.ndarray) -> list:
     return [model.class_labels[j] for j in np.argmax(scores, axis=1)]
 
 
-def _population_member_model(populations, matrix, ridge):
-    classes = []
-    for k, (prior, mean, cov) in enumerate(populations, start=1):
-        mean = np.asarray(mean, dtype=np.float64)
-        mu_d = project(matrix, mean)
-        rt = matrix.to_dense().T
-        projected_cov = project(matrix, cov.matvec(rt).T)
-        projected_cov = (projected_cov + projected_cov.T) / 2.0
-        if ridge > 0.0:
-            projected_cov = projected_cov + ridge * np.eye(matrix.d)
-        factor = cholesky(projected_cov)
-        classes.append(qda.GaussianClassModel(
-            label=str(k), prior=prior, log_prior=math.log(prior),
-            mean=mu_d, cov_factor=factor))
-    return qda.QdaModel(classes=tuple(classes))
+@dataclass(frozen=True)
+class MemberStack:
+    """Consecutive population-mode members as stacked arrays.
+
+    For m consecutive members and J classes: ``seeds`` holds the seed
+    each matrix was drawn from (a redraw seed when the member redrew),
+    ``matrices`` is (m, d, p) dense, ``means`` (m, J, d) the projected
+    class means, ``lower`` (m, J, d, d) the Cholesky factors of the
+    projected class covariances and ``log_det`` (m, J) their
+    log-determinants.
+    """
+
+    seeds: tuple
+    matrices: np.ndarray
+    means: np.ndarray
+    lower: np.ndarray
+    log_det: np.ndarray
 
 
-def population_members(populations, p: int, config: RpeConfig):
-    """Yield (b, matrix, projected model) for population-mode members,
-    applying the same derived-seed redraw policy as the sample fit."""
+def _draw_members(populations, family, d, p, seeds, ridge):
+    """Draw one matrix per seed and factor its projected class covariances.
+
+    Returns (matrices, means, lower, log_det, ok), the first four as in
+    MemberStack and ``ok`` (m,) marking members whose every class factors.
+    """
+    matrices = np.stack([generate(family, d, p, seed).to_dense() for seed in seeds])
+    m = len(seeds)
+    flat = matrices.reshape(m * d, p)
+    means, covs = [], []
+    for _, mean, cov in populations:
+        means.append((flat @ np.asarray(mean, dtype=np.float64)).reshape(m, d))
+        applied = cov.matvec(flat.T).reshape(p, m, d).transpose(1, 0, 2)
+        projected = matrices @ applied
+        covs.append((projected + projected.transpose(0, 2, 1)) / 2.0)
+    covs = np.stack(covs, axis=1)
+    if ridge > 0.0:
+        covs = covs + ridge * np.eye(d)
+    lower, log_det, ok = cholesky_stack(covs)
+    return matrices, np.stack(means, axis=1), lower, log_det, ok.all(axis=1)
+
+
+def population_stacks(populations, p: int, config: RpeConfig, rows: int = 0):
+    """Yield the population-mode ensemble as MemberStack chunks in member
+    order, sized so that each chunk's matrices and the projected class
+    offsets of ``rows`` points take about ``POPULATION_CHUNK_BYTES``.
+
+    A member whose projected covariance fails to factor redraws its matrix
+    under the same derived-seed policy as the sample fit.
+    """
     d = config.d if config.d is not None else default_reduced_dim(p)
-    for b in range(1, config.B + 1):
-        attempt = 0
-        while True:
-            matrix = generate(config.family, d, p,
-                              member_seed(config.master_seed, b, attempt))
-            try:
-                model = _population_member_model(populations, matrix, config.ridge)
-                break
-            except NotPositiveDefinite as exc:
-                attempt += 1
-                if attempt > config.max_regen_retries:
-                    raise MemberDegenerate(
-                        b, f"member {b}: projected population covariance "
-                           f"singular after {config.max_regen_retries} redraws") from exc
-        yield b, matrix, model
+    member_bytes = 8 * d * (p + len(populations) * rows)
+    chunk = max(1, POPULATION_CHUNK_BYTES // member_bytes)
+    for first in range(1, config.B + 1, chunk):
+        members = range(first, min(first + chunk, config.B + 1))
+        seeds = [member_seed(config.master_seed, b) for b in members]
+        *arrays, ok = _draw_members(
+            populations, config.family, d, p, seeds, config.ridge)
+        for i in np.flatnonzero(~ok):
+            b = members[i]
+            for attempt in range(1, config.max_regen_retries + 1):
+                seeds[i] = member_seed(config.master_seed, b, attempt)
+                *redrawn, redrawn_ok = _draw_members(
+                    populations, config.family, d, p, seeds[i:i + 1], config.ridge)
+                if redrawn_ok[0]:
+                    for whole, part in zip(arrays, redrawn):
+                        whole[i] = part[0]
+                    break
+            else:
+                raise MemberDegenerate(
+                    b, f"member {b}: projected population covariance "
+                       f"singular after {config.max_regen_retries} redraws")
+        yield MemberStack(tuple(seeds), *arrays)
 
 
 def population_rpe_scores(populations, p: int, config: RpeConfig,
                           z_rows: np.ndarray) -> np.ndarray:
     """Averaged per-class scores under known parameters for each row of
-    ``z_rows``; members stream one at a time, so memory stays O(d * p)
-    regardless of B."""
+    ``z_rows`` (a single point may be given as a vector).
+
+    Members are built and scored a chunk at a time (see
+    :func:`population_stacks`) and their scores accumulate in member-index
+    order whatever the chunk size.
+    """
     z_rows = np.asarray(z_rows, dtype=np.float64)
     single = z_rows.ndim == 1
     if single:
@@ -226,10 +298,17 @@ def population_rpe_scores(populations, p: int, config: RpeConfig,
     if z_rows.shape[1] != p:
         raise DimensionMismatch(
             f"rows of shape {z_rows.shape} against populations with p={p}")
+    _require_finite(z_rows, "rows to score")
+    base = np.array([math.log(prior) for prior, _, _ in populations])
     acc = np.zeros((z_rows.shape[0], len(populations)))
-    count = 0
-    for _, matrix, model in population_members(populations, p, config):
-        acc += qda.class_scores_rows(model, project(matrix, z_rows))
-        count += 1
-    acc /= count
+    for stack in population_stacks(populations, p, config, rows=z_rows.shape[0]):
+        # (m, d, n) projected rows, centred per class to (m, J, d, n).
+        m, d, _ = stack.matrices.shape
+        projected = (stack.matrices.reshape(m * d, p) @ z_rows.T).reshape(m, d, -1)
+        centered = projected[:, None] - stack.means[..., None]
+        scores = ((base - 0.5 * stack.log_det)[..., None]
+                  - 0.5 * forward_sq_norms(stack.lower, centered))
+        for member_scores in scores:
+            acc += member_scores.T
+    acc /= config.B
     return acc[0] if single else acc

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from rpeqda import linalg
 from rpeqda.errors import (
@@ -106,6 +107,47 @@ class TestSolveQuadraticForm:
         batch = linalg.solve_quadratic_form_rows(factor, rows)
         singles = [linalg.solve_quadratic_form(factor, row) for row in rows]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
+
+
+class TestStackedFactors:
+    def test_cholesky_stack_matches_single_factors(self):
+        rng = np.random.default_rng(14)
+        stack = np.stack([[random_spd(rng, 4) for _ in range(2)] for _ in range(3)])
+        lower, log_det, ok = linalg.cholesky_stack(stack)
+        assert ok.all()
+        for idx in np.ndindex(3, 2):
+            factor = linalg.cholesky(stack[idx])
+            np.testing.assert_array_equal(lower[idx], factor.lower)
+            assert log_det[idx] == factor.log_det
+
+    def test_cholesky_stack_flags_only_failures(self):
+        # indefinite, near-singular pivot, and positive definite
+        stack = np.array([[[1.0, 2.0], [2.0, 1.0]],
+                          [[1.0, 1.0], [1.0, 1.0 + 1e-14]],
+                          [[4.0, 2.0], [2.0, 3.0]]])
+        lower, log_det, ok = linalg.cholesky_stack(stack)
+        assert ok.tolist() == [False, False, True]
+        assert log_det[2] == pytest.approx(math.log(8.0), abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 10])
+    def test_forward_sq_norms_matches_triangular_solves(self, dim):
+        rng = np.random.default_rng(15 + dim)
+        lower = np.stack([linalg.cholesky(random_spd(rng, dim)).lower for _ in range(4)])
+        b = rng.standard_normal((4, dim, 7))
+        got = linalg.forward_sq_norms(lower, b)
+        for i in range(4):
+            y = solve_triangular(lower[i], b[i], lower=True)
+            np.testing.assert_allclose(got[i], np.sum(y * y, axis=0), rtol=1e-13)
+
+    def test_forward_sq_norms_broadcasts_and_checks_shape(self):
+        rng = np.random.default_rng(16)
+        lower = linalg.cholesky(random_spd(rng, 3)).lower
+        b = rng.standard_normal((5, 3, 2))
+        np.testing.assert_allclose(linalg.forward_sq_norms(lower, b),
+                                   linalg.forward_sq_norms(np.stack([lower] * 5), b),
+                                   rtol=0, atol=0)
+        with pytest.raises(DimensionMismatch):
+            linalg.forward_sq_norms(lower, rng.standard_normal((4, 2)))
 
 
 class TestQrOrthogonal:

@@ -6,7 +6,13 @@ from scipy.stats import norm
 
 from rpeqda import linalg, qda
 from rpeqda.dataset import Dataset
-from rpeqda.errors import DimensionMismatch, SingularCovariance, TooFewSamplesForClass
+from rpeqda.errors import (
+    DimensionMismatch,
+    RpeQdaError,
+    SingularCovariance,
+    TooFewClasses,
+    TooFewSamplesForClass,
+)
 
 
 def one_dim_model(params):
@@ -61,8 +67,9 @@ class TestFit:
 
     def test_single_class_rejected(self):
         data = Dataset(np.zeros((3, 1)), ("a", "a", "a"))
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewClasses) as err:
             qda.fit(data)
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
 
 
 class TestScoresAndClassify:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from rpeqda import randproj
-from rpeqda.errors import DimensionMismatch, InvalidDimensions
+from rpeqda.errors import (
+    DimensionMismatch,
+    InvalidDimensions,
+    RpeQdaError,
+    UnknownProjectionFamily,
+)
 from rpeqda.randproj import ProjectionFamily, generate, project, project_many
 from rpeqda.rng import mix
 
@@ -28,6 +33,11 @@ class TestGenerate:
     def test_invalid_dimensions(self, d, p):
         with pytest.raises(InvalidDimensions):
             generate(SN, d, p, seed=0)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(UnknownProjectionFamily) as err:
+            generate("gaussian", 2, 5, seed=1)
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
 
     def test_stp_payload_is_signs_with_unique_positions(self):
         m = generate(STP, 10, 400, seed=9)

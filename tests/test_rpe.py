@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from rpeqda import qda, rpe, schemes
+from rpeqda import linalg, qda, rpe, schemes
 from rpeqda.covariance import DenseCovariance
 from rpeqda.dataset import Dataset
-from rpeqda.errors import DimensionMismatch, MemberDegenerate, ReducedDimTooLarge, SingularCovariance
-from rpeqda.randproj import ProjectionFamily, generate
+from rpeqda.errors import (
+    DimensionMismatch,
+    MemberDegenerate,
+    NonFiniteInput,
+    NotPositiveDefinite,
+    ReducedDimTooLarge,
+    RpeQdaError,
+    SingularCovariance,
+    TooFewClasses,
+)
+from rpeqda.randproj import ProjectionFamily, generate, project
 from rpeqda.rng import stream
 
 SN = ProjectionFamily.STANDARD_NORMAL
@@ -53,6 +63,19 @@ class TestFit:
         assert rpe.default_reduced_dim(10000, 100) == 10
         assert rpe.default_reduced_dim(2000, 100) == 8
         assert rpe.default_reduced_dim(512, 5) == 4
+
+    def test_single_class_rejected(self):
+        data = Dataset(np.random.default_rng(1).standard_normal((10, 4)), ("a",) * 10)
+        with pytest.raises(TooFewClasses) as err:
+            rpe.rpe_fit(data, rpe.RpeConfig(B=2, d=2))
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        data = two_class_data(np.random.default_rng(1))
+        data.features[37, 2] = bad
+        with pytest.raises(NonFiniteInput, match="row 37"):
+            rpe.rpe_fit(data, rpe.RpeConfig(B=2, d=2))
 
     def test_member_degenerate_on_constant_features(self):
         features = np.ones((20, 8))
@@ -172,12 +195,23 @@ class TestScores:
         with pytest.raises(DimensionMismatch):
             rpe.rpe_scores(model, np.zeros(6))
 
+    def test_non_finite_rows_rejected(self, monkeypatch):
+        # a small scan block makes the bad row fall in a later block
+        monkeypatch.setattr(rpe, "_FINITE_CHECK_VALUES", 10)
+        data = two_class_data(np.random.default_rng(13))
+        model = rpe.rpe_fit(data, rpe.RpeConfig(B=2, d=3))
+        z_rows = np.zeros((6, 5))
+        z_rows[4, 1] = np.nan
+        with pytest.raises(NonFiniteInput, match="row 4"):
+            rpe.rpe_predict_rows(model, z_rows)
+        with pytest.raises(NonFiniteInput):
+            rpe.rpe_scores(model, np.full(5, np.inf))
+
     def test_single_member_reduces_to_member_qda(self):
         data = two_class_data(np.random.default_rng(14))
         model = rpe.rpe_fit(data, rpe.RpeConfig(B=1, d=3, master_seed=21))
         member = model.members[0]
         z = np.random.default_rng(15).standard_normal(5)
-        from rpeqda.randproj import project
         direct = qda.classify(member.model, project(member.matrix, z))
         assert rpe.rpe_classify(model, z) == direct
 
@@ -254,13 +288,16 @@ class TestPopulationMode:
         spec = schemes.build_example2(50, c=2.0, r=3, spike_bound=4.0, seed=2)
         pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
         config = rpe.RpeConfig(B=4, d=6, master_seed=66)
-        for _, matrix, model in rpe.population_members(pops, 50, config):
-            gap = model.classes[1].cov_factor.log_det - model.classes[0].cov_factor.log_det
-            assert gap == pytest.approx(6 * math.log(2.0), rel=1e-10)
-            r = matrix.to_dense()
-            dense_cov = spec.populations[0].cov.dense()
-            want = np.linalg.slogdet(r @ dense_cov @ r.T)[1]
-            assert model.classes[0].cov_factor.log_det == pytest.approx(want, rel=1e-8)
+        dense_cov = spec.populations[0].cov.dense()
+        members = 0
+        for stack in rpe.population_stacks(pops, 50, config):
+            for matrix, log_det in zip(stack.matrices, stack.log_det):
+                gap = log_det[1] - log_det[0]
+                assert gap == pytest.approx(6 * math.log(2.0), rel=1e-10)
+                want = np.linalg.slogdet(matrix @ dense_cov @ matrix.T)[1]
+                assert log_det[0] == pytest.approx(want, rel=1e-8)
+                members += 1
+        assert members == 4
 
     def test_population_scores_single_vector_shape(self):
         rng = np.random.default_rng(19)
@@ -269,3 +306,108 @@ class TestPopulationMode:
         config = rpe.RpeConfig(B=2, d=2, master_seed=77)
         single = rpe.population_rpe_scores(pops, 4, config, np.zeros(4))
         assert single.shape == (2,)
+
+
+def oracle_population_scores(populations, p, config, z_rows):
+    """Member-by-member population-mode scores: each member draws its
+    matrix, factors its exact projected moments one class at a time
+    (redrawing on failure) and whitens with a LAPACK triangular solve."""
+    d = config.d
+    acc = np.zeros((len(z_rows), len(populations)))
+    for b in range(1, config.B + 1):
+        for attempt in range(config.max_regen_retries + 1):
+            matrix = generate(config.family, d, p, rpe.member_seed(config.master_seed, b, attempt))
+            try:
+                classes = []
+                for prior, mean, cov in populations:
+                    s = project(matrix, cov.matvec(matrix.to_dense().T).T)
+                    factor = linalg.cholesky((s + s.T) / 2.0 + config.ridge * np.eye(d))
+                    classes.append((math.log(prior), project(matrix, mean), factor))
+                break
+            except NotPositiveDefinite:
+                continue
+        else:
+            raise MemberDegenerate(b)
+        projected = project(matrix, z_rows)
+        for j, (log_prior, mu, factor) in enumerate(classes):
+            y = solve_triangular(factor.lower, (projected - mu).T, lower=True)
+            acc[:, j] += log_prior - 0.5 * factor.log_det - 0.5 * np.sum(y * y, axis=0)
+    return acc / config.B
+
+
+def random_populations(rng, p, priors=(0.4, 0.6)):
+    return [(prior, rng.standard_normal(p), DenseCovariance(random_spd(rng, p)))
+            for prior in priors]
+
+
+class TestPopulationStacks:
+    def _set_chunk(self, monkeypatch, members, d, p, populations, rows):
+        member_bytes = 8 * d * (p + len(populations) * rows)
+        monkeypatch.setattr(rpe, "POPULATION_CHUNK_BYTES", members * member_bytes)
+
+    @pytest.mark.parametrize("B, d, p, chunk", [
+        (1, 3, 12, 4),     # a single member
+        (7, 3, 12, 3),     # B not a multiple of the chunk
+        (5, 6, 6, 2),      # square projections, d = p
+    ])
+    def test_matches_member_oracle(self, monkeypatch, B, d, p, chunk):
+        rng = np.random.default_rng(100 + B)
+        pops = random_populations(rng, p)
+        z_rows = rng.standard_normal((9, p)) * 2.0
+        config = rpe.RpeConfig(B=B, d=d, master_seed=5 + B, ridge=0.25 * (B % 2))
+        self._set_chunk(monkeypatch, chunk, d, p, pops, len(z_rows))
+        stacks = list(rpe.population_stacks(pops, p, config, rows=len(z_rows)))
+        assert [len(s.seeds) for s in stacks] == [
+            min(chunk, B - first) for first in range(0, B, chunk)]
+        got = rpe.population_rpe_scores(pops, p, config, z_rows)
+        want = oracle_population_scores(pops, p, config, z_rows)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_scores_independent_of_chunk_size(self, monkeypatch):
+        # Structured handles apply Sigma to each column on its own, so a
+        # member scores bit-identically whichever chunk holds it; a dense
+        # handle's BLAS product may round differently with the column count.
+        rng = np.random.default_rng(31)
+        spec = schemes.build_example2(40, c=2.0, r=3, spike_bound=4.0, seed=4)
+        structured = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+        dense = random_populations(rng, 40, priors=(0.3, 0.3, 0.4))
+        config = rpe.RpeConfig(B=11, d=4, master_seed=8)
+        z_rows = rng.standard_normal((13, 40))
+        for pops, rtol in ((structured, 0.0), (dense, 1e-13)):
+            results = []
+            for budget in (1, 10 ** 9):
+                monkeypatch.setattr(rpe, "POPULATION_CHUNK_BYTES", budget)
+                chunks = len(list(rpe.population_stacks(pops, 40, config, rows=13)))
+                assert chunks == (11 if budget == 1 else 1)
+                results.append(rpe.population_rpe_scores(pops, 40, config, z_rows))
+            np.testing.assert_allclose(results[0], results[1], rtol=rtol, atol=0)
+
+    def test_sparse_redraws_match_oracle(self, monkeypatch):
+        # at p = 6 sparse matrices often have an all-zero or repeated row,
+        # so some members must redraw; master seed 4 redraws members 3, 8, 10
+        rng = np.random.default_rng(20)
+        pops = random_populations(rng, 6)
+        z_rows = rng.standard_normal((8, 6))
+        config = rpe.RpeConfig(B=12, d=3, family=STP, master_seed=4)
+        self._set_chunk(monkeypatch, 5, 3, 6, pops, len(z_rows))
+        seeds = [seed for stack in rpe.population_stacks(pops, 6, config, rows=8)
+                 for seed in stack.seeds]
+        redrawn = [b for b, seed in enumerate(seeds, start=1)
+                   if seed != rpe.member_seed(4, b)]
+        assert redrawn == [3, 8, 10]
+        got = rpe.population_rpe_scores(pops, 6, config, z_rows)
+        want = oracle_population_scores(pops, 6, config, z_rows)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        with pytest.raises(MemberDegenerate) as err:
+            rpe.population_rpe_scores(
+                pops, 6, rpe.RpeConfig(B=12, d=3, family=STP, master_seed=4,
+                                       max_regen_retries=0), z_rows)
+        assert err.value.member == 3
+
+    def test_non_finite_rows_rejected(self):
+        rng = np.random.default_rng(21)
+        pops = random_populations(rng, 5)
+        z_rows = rng.standard_normal((3, 5))
+        z_rows[2, 0] = np.nan
+        with pytest.raises(NonFiniteInput, match="row 2"):
+            rpe.population_rpe_scores(pops, 5, rpe.RpeConfig(B=2, d=2), z_rows)
