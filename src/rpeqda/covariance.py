@@ -306,9 +306,10 @@ class RotatedSpike:
 class SpikedIdentity:
     """Sigma = I_p + P diag(gamma) P' with P a p x r orthonormal block.
 
-    r may be 0, in which case Sigma is the identity.  Inversion and square
-    roots act only on the r-dimensional spike, so all operations cost
-    O(p * r).
+    r may be 0, in which case Sigma is the identity and ``matvec`` and
+    ``solve`` return their argument as a float64 array, without copying.
+    Inversion and square roots act only on the r-dimensional spike, so all
+    operations cost O(p * r).
     """
 
     def __init__(self, p, basis, gamma):
@@ -321,11 +322,15 @@ class SpikedIdentity:
             raise ValueError("spike spectrum must keep Sigma positive definite")
 
     def matvec(self, v):
+        if self.gamma.size == 0:
+            return np.asarray(v, dtype=np.float64)
         cols, vec = _as_columns(v)
         out = cols + self.basis @ (self.gamma[:, None] * (self.basis.T @ cols))
         return _restore(out, vec)
 
     def solve(self, v):
+        if self.gamma.size == 0:
+            return np.asarray(v, dtype=np.float64)
         cols, vec = _as_columns(v)
         shrink = self.gamma / (1.0 + self.gamma)
         out = cols - self.basis @ (shrink[:, None] * (self.basis.T @ cols))

@@ -2,14 +2,25 @@
 
 Grammar: UTF-8, comma-separated, optional single header line, label in one
 designated column (first by default), all remaining columns decimal
-floats, no quoting.  Lines starting with ``#`` are provenance comments and
-are skipped on ingestion (exports use one to embed the tool version and
-run configuration).  Blank or non-finite feature cells are rejected with
-the offending line number; every data line must have the same number of
-fields as the first.
+floats.  Lines starting with ``#`` are provenance comments and are skipped
+on ingestion (exports use one to embed the tool version and run
+configuration), as are blank lines.  Every data line must have the same
+number of fields as the first.
+
+Quotes are not special: a field ends at the next comma, so a quoted
+numeric cell is a parse error and a quoted label keeps its quotes.  A
+feature cell is an ASCII decimal float (optional sign, digits, point,
+exponent, or ``nan``/``inf`` spellings) with optional surrounding
+whitespace; digit-group underscores (``1_0``) and non-ASCII digits are
+parse errors.  Blank or non-finite feature cells are rejected as missing
+values.
+
+Errors carry 1-based physical line and column numbers (comments, blank
+lines and the header count toward line numbers).  When a file holds
+several errors the first offending line wins; within a line the width is
+checked first, then the label, then the cells from left to right.
 """
 
-import csv
 import math
 
 import numpy as np
@@ -18,87 +29,110 @@ from .dataset import Dataset
 from .errors import EmptyInput, InconsistentWidth, MissingValue, ParseError
 
 
-def _data_lines(handle, has_header):
-    header_pending = has_header
-    for line_no, raw in enumerate(handle, start=1):
-        if raw.startswith("#"):
-            continue
-        if raw.strip() == "":
-            continue
-        if header_pending:
-            header_pending = False
-            continue
-        fields = next(csv.reader([raw]))
-        yield line_no, fields
-
-
 def ingest_csv(path, label_col: int = 0, has_header: bool = True) -> Dataset:
-    """Parse a labeled CSV file into a Dataset.
-
-    Line and column numbers in errors are 1-based physical positions
-    (comments and the header count toward line numbers).
-    """
-    labels, rows = [], []
-    width = None
-    with open(path, encoding="utf-8", newline="") as handle:
-        for line_no, fields in _data_lines(handle, has_header):
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise InconsistentWidth(line_no)
-            if label_col >= len(fields):
-                raise ParseError(line_no, label_col + 1,
-                                 f"line {line_no}: no label column {label_col + 1}")
-            label = fields[label_col].strip()
-            if label == "":
-                raise MissingValue(line_no, label_col + 1,
-                                   f"blank label at line {line_no}")
-            labels.append(label)
-            rows.append(_parse_floats(fields, line_no, skip_col=label_col))
-    if not rows:
-        raise EmptyInput(f"no data rows in {path}")
-    return Dataset(np.asarray(rows, dtype=np.float64), tuple(labels))
+    """Parse a labeled CSV file into a Dataset."""
+    features, labels = _read(path, label_col, has_header)
+    return Dataset(features, tuple(labels))
 
 
 def ingest_features_csv(path, has_header: bool = True) -> np.ndarray:
     """Parse an unlabeled CSV of pure feature rows into an (n, p) array."""
-    rows = []
+    features, _ = _read(path, None, has_header)
+    return features
+
+
+def _read(path, label_col, has_header):
+    """Return the (n, p) features and the n labels (empty when
+    ``label_col`` is None) of a CSV file.
+
+    One pass over the lines skips comments, blank lines and the header,
+    checks widths and takes the labels; it stops at the first width or
+    label error.  The feature cells of the lines before it are converted
+    by one ``np.loadtxt`` call, which rounds exactly like ``float``.
+    """
+    line_nos, lines, labels = [], [], []
     width = None
+    stop = None
+    header_pending = has_header
     with open(path, encoding="utf-8", newline="") as handle:
-        for line_no, fields in _data_lines(handle, has_header):
+        for line_no, raw in enumerate(handle, start=1):
+            if raw.startswith("#") or raw.isspace():
+                continue
+            if header_pending:
+                header_pending = False
+                continue
+            fields = raw.count(",") + 1
             if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise InconsistentWidth(line_no)
-            rows.append(_parse_floats(fields, line_no, skip_col=None))
-    if not rows:
-        raise EmptyInput(f"no data rows in {path}")
-    return np.asarray(rows, dtype=np.float64)
-
-
-def _parse_floats(fields, line_no, skip_col):
-    values = []
-    for col_no, cell in enumerate(fields, start=1):
-        if skip_col is not None and col_no - 1 == skip_col:
-            continue
-        cell = cell.strip()
-        if cell == "":
-            raise MissingValue(line_no, col_no,
-                               f"blank field at line {line_no}, column {col_no}")
+                width = fields
+            elif fields != width:
+                stop = InconsistentWidth(line_no)
+                break
+            if label_col is not None:
+                if not 0 <= label_col < width:
+                    stop = ParseError(line_no, label_col + 1,
+                                      f"line {line_no}: no label column {label_col + 1}")
+                    break
+                label = raw.split(",", label_col + 1)[label_col].strip()
+                if label == "":
+                    stop = MissingValue(line_no, label_col + 1,
+                                        f"blank label at line {line_no}")
+                    break
+                labels.append(label)
+            line_nos.append(line_no)
+            lines.append(raw)
+    if lines:
+        usecols = [j for j in range(width) if j != label_col]
         try:
-            value = float(cell)
+            features = np.loadtxt(lines, dtype=np.float64, delimiter=",",
+                                  comments=None, quotechar=None,
+                                  usecols=usecols, ndmin=2)
         except ValueError as exc:
-            raise ParseError(line_no, col_no) from exc
-        if not math.isfinite(value):
-            raise MissingValue(line_no, col_no,
-                               f"non-finite value at line {line_no}, column {col_no}")
-        values.append(value)
-    return values
+            # The cell scan accepts exactly the cells np.loadtxt accepts, so
+            # it finds the error; the fallback only keeps the error typed.
+            raise _first_cell_error(line_nos, lines, label_col) or ParseError(
+                None, None, f"unreadable data in {path}: {exc}") from None
+        finite = np.isfinite(features)
+        if not finite.all():
+            row, col = divmod(int(np.argmin(finite)), finite.shape[1])
+            raise _non_finite(line_nos[row], usecols[col] + 1)
+    if stop is not None:
+        raise stop
+    if not lines:
+        raise EmptyInput(f"no data rows in {path}")
+    return features, labels
+
+
+def _first_cell_error(line_nos, lines, label_col):
+    """The typed error of the first bad feature cell in file order, found
+    cell by cell; runs only after ``np.loadtxt`` has rejected the lines."""
+    for line_no, raw in zip(line_nos, lines):
+        for col, cell in enumerate(raw.split(",")):
+            if col == label_col:
+                continue
+            cell = cell.strip()
+            if cell == "":
+                return MissingValue(line_no, col + 1,
+                                    f"blank field at line {line_no}, column {col + 1}")
+            if not cell.isascii() or "_" in cell:
+                return ParseError(line_no, col + 1)
+            try:
+                value = float(cell)
+            except ValueError:
+                return ParseError(line_no, col + 1)
+            if not math.isfinite(value):
+                return _non_finite(line_no, col + 1)
+    return None
+
+
+def _non_finite(line_no, col_no):
+    return MissingValue(line_no, col_no,
+                        f"non-finite value at line {line_no}, column {col_no}")
 
 
 def export_csv(dataset: Dataset, path, header: bool = True, meta: str = "") -> None:
     """Write a Dataset in the ingestion grammar (label first, 17
     significant digits so a round trip reproduces the floats exactly)."""
+    row_format = ",".join(["%.17g"] * dataset.p)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if meta:
             handle.write(f"# {meta}\n")
@@ -106,5 +140,4 @@ def export_csv(dataset: Dataset, path, header: bool = True, meta: str = "") -> N
             names = ",".join(f"f{j + 1}" for j in range(dataset.p))
             handle.write(f"label,{names}\n")
         for label, row in zip(dataset.labels, dataset.features):
-            cells = ",".join(format(v, ".17g") for v in row)
-            handle.write(f"{label},{cells}\n")
+            handle.write(f"{label},{row_format % tuple(row)}\n")

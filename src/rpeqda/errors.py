@@ -111,3 +111,7 @@ class InconsistentWidth(RpeQdaError):
         self.line = line
         super().__init__(
             message or f"inconsistent number of fields at line {line}")
+
+
+class ModelFormatError(RpeQdaError, ValueError):
+    """A model file is not a well-formed ``rpeqda-model/1`` document."""

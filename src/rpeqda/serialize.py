@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from . import __version__
+from .errors import ModelFormatError
 from .linalg import CholeskyFactor
 from .qda import GaussianClassModel, QdaModel
 from .randproj import ProjectionFamily, ProjectionMatrix, generate
@@ -148,22 +149,76 @@ def model_to_dict(model: RpeModel, compact: bool = False,
 
 
 def model_from_dict(payload: dict) -> RpeModel:
-    if payload.get("schema") != MODEL_SCHEMA:
-        raise ValueError(f"unsupported model schema {payload.get('schema')!r}")
-    cfg = payload["config"]
-    config = RpeConfig(B=cfg["B"], d=cfg["d"],
-                       family=ProjectionFamily(cfg["family"]),
-                       master_seed=cfg["master_seed"], ridge=cfg["ridge"],
-                       max_regen_retries=cfg["max_regen_retries"])
-    members = tuple(
-        ProjectionMember(
-            matrix=_matrix_from_dict(m["matrix"]),
-            model=QdaModel(classes=tuple(
-                _class_from_dict(c) for c in m["model"]["classes"])))
-        for m in payload["members"])
-    return RpeModel(config=config, p=payload["p"],
-                    class_labels=tuple(payload["class_labels"]),
-                    members=members)
+    """Rebuild a model from its file payload, raising ModelFormatError when
+    the payload is not a consistent ``rpeqda-model/1`` document."""
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != MODEL_SCHEMA:
+        raise ModelFormatError(f"unsupported model schema {schema!r}")
+    try:
+        cfg = payload["config"]
+        config = RpeConfig(B=cfg["B"], d=cfg["d"],
+                           family=ProjectionFamily(cfg["family"]),
+                           master_seed=cfg["master_seed"], ridge=cfg["ridge"],
+                           max_regen_retries=cfg["max_regen_retries"])
+        members = tuple(
+            ProjectionMember(
+                matrix=_matrix_from_dict(m["matrix"]),
+                model=QdaModel(classes=tuple(
+                    _class_from_dict(c) for c in m["model"]["classes"])))
+            for m in payload["members"])
+        model = RpeModel(config=config, p=payload["p"],
+                         class_labels=tuple(payload["class_labels"]),
+                         members=members)
+    except KeyError as exc:
+        raise ModelFormatError(f"model file lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed model file ({exc})") from exc
+    _check_model(model)
+    return model
+
+
+def _check_model(model: RpeModel) -> None:
+    """Check that the members agree with the model's B, d, p and classes,
+    and that every class factor is d x d lower triangular with a positive
+    diagonal (checked on the stacked factors)."""
+    d, p = model.config.d, model.p
+    if not model.members or len(model.members) != model.config.B:
+        raise ModelFormatError(
+            f"model file has {len(model.members)} members, config B = {model.config.B}")
+    if len(model.class_labels) < 2:
+        raise ModelFormatError(f"model file has classes {model.class_labels}, need 2 or more")
+    for b, member in enumerate(model.members, start=1):
+        matrix = member.matrix
+        shape = matrix.entries.shape if matrix.entries is not None else (matrix.d, matrix.p)
+        if (matrix.d, matrix.p) != (d, p) or shape != (d, p):
+            raise ModelFormatError(
+                f"member {b}: matrix is {shape[0]} x {shape[1]}, model is {d} x {p}")
+        if matrix.entries is None and not _triplets_fit(matrix):
+            raise ModelFormatError(f"member {b}: sparse triplets do not fit {d} x {p}")
+        if member.model.labels != model.class_labels:
+            raise ModelFormatError(
+                f"member {b}: classes {member.model.labels} differ from "
+                f"{model.class_labels}")
+        for c in member.model.classes:
+            if c.mean.shape != (d,) or c.cov_factor.lower.shape != (d, d):
+                raise ModelFormatError(
+                    f"member {b}, class {c.label!r}: mean or factor is not of dimension {d}")
+    lower = np.stack([c.cov_factor.lower
+                      for m in model.members for c in m.model.classes])
+    valid = (~np.triu(lower, 1).any(axis=(1, 2))
+             & (np.diagonal(lower, axis1=1, axis2=2) > 0).all(axis=1))
+    if not valid.all():
+        b, j = divmod(int(np.argmin(valid)), len(model.class_labels))
+        raise ModelFormatError(
+            f"member {b + 1}, class {model.class_labels[j]!r}: covariance factor is "
+            f"not lower triangular with a positive diagonal")
+
+
+def _triplets_fit(matrix: ProjectionMatrix) -> bool:
+    rows, cols = matrix.rows, matrix.cols
+    return (rows.shape == cols.shape == matrix.signs.shape
+            and bool(((0 <= rows) & (rows < matrix.d)).all())
+            and bool(((0 <= cols) & (cols < matrix.p)).all()))
 
 
 def save_model(model: RpeModel, path, compact: bool = False,
@@ -173,7 +228,11 @@ def save_model(model: RpeModel, path, compact: bool = False,
 
 def load_model(path) -> RpeModel:
     with open(path, encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:
+            raise ModelFormatError(f"{path} is not a JSON model file ({exc})") from exc
+    return model_from_dict(payload)
 
 
 def report_to_dict(report, run_config: dict | None = None,

@@ -1,7 +1,12 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rpeqda import csvio, serialize
 from rpeqda.cli import main
@@ -69,6 +74,156 @@ class TestIngest:
         path.write_text("f1,f2\n1.0,2.0\n3.0,4.0\n")
         feats = csvio.ingest_features_csv(path)
         np.testing.assert_array_equal(feats, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"label,f1,f2\r\na,1.5,-2\r\nb,3,4e-3\r\n")
+        data = csvio.ingest_csv(path)
+        np.testing.assert_array_equal(data.features, [[1.5, -2.0], [3.0, 4e-3]])
+        assert data.labels == ("a", "b")
+        path.write_bytes(b"f1,label\r\n1.0,a\r\n2.0,b\r\n")
+        assert csvio.ingest_csv(path, label_col=1).labels == ("a", "b")
+        path.write_bytes(path.read_bytes() + b"x,c\r\n")
+        with pytest.raises(ParseError) as err:
+            csvio.ingest_csv(path, label_col=1)
+        assert (err.value.line, err.value.column) == (4, 1)
+
+    def test_comments_and_blank_lines_mid_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        body = "# meta\nlabel,f1\na,1.0\n# note\n\n   \nb,2.0\n"
+        path.write_text(body)
+        data = csvio.ingest_csv(path)
+        np.testing.assert_array_equal(data.features, [[1.0], [2.0]])
+        assert data.labels == ("a", "b")
+        path.write_text(body + "\n# late\nc,oops\n")
+        with pytest.raises(ParseError) as err:
+            csvio.ingest_csv(path)
+        assert (err.value.line, err.value.column) == (10, 2)
+
+    @pytest.mark.parametrize("label_col, text", [
+        (1, "1.0,a,2.0\n3.0,b,4.0\n"),
+        (2, "1.0,2.0,a\n3.0,4.0,b\n"),
+    ])
+    def test_label_column_middle_and_last(self, tmp_path, label_col, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        data = csvio.ingest_csv(path, label_col=label_col, has_header=False)
+        np.testing.assert_array_equal(data.features, [[1.0, 2.0], [3.0, 4.0]])
+        assert data.labels == ("a", "b")
+
+    def test_label_column_out_of_range(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,1.0\nb,2.0\n")
+        for label_col in (2, -1):
+            with pytest.raises(ParseError) as err:
+                csvio.ingest_csv(path, label_col=label_col, has_header=False)
+            assert err.value.line == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_cell_is_missing(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"label,f1,f2\na,1.0,2.0\nb,3.0,{cell}\n")
+        with pytest.raises(MissingValue) as err:
+            csvio.ingest_csv(path)
+        assert (err.value.line, err.value.column) == (3, 3)
+
+    @pytest.mark.parametrize("line3, line5, expected", [
+        ("b,oops,1", "a,1", (ParseError, 3, 2)),
+        ("b,nan,1", "a,1,oops", (MissingValue, 3, 2)),
+        ("b,nan,1", "a,1", (MissingValue, 3, 2)),
+        ("b,1,", "a", (MissingValue, 3, 3)),
+        ("b,2,1", "a,1", (InconsistentWidth, 5, None)),
+        ("b,1,oops", ",1,2", (ParseError, 3, 3)),
+        ("b,1,2", ",1,oops", (MissingValue, 5, 1)),
+        ("b,inf,oops", "a,1,2", (MissingValue, 3, 2)),
+        ("b,oops,inf", "a,1,2", (ParseError, 3, 2)),
+    ])
+    def test_first_error_in_file_order_wins(self, tmp_path, line3, line5, expected):
+        path = tmp_path / "d.csv"
+        path.write_text(f"label,f1,f2\na,1,2\n{line3}\na,3,4\n{line5}\n")
+        kind, line, column = expected
+        with pytest.raises(kind) as err:
+            csvio.ingest_csv(path)
+        assert err.value.line == line
+        assert getattr(err.value, "column", None) == column
+
+    @pytest.mark.parametrize("cell, kind", [
+        ("x", ParseError), ("", MissingValue), (" ", MissingValue), ("-inf", MissingValue),
+    ])
+    def test_features_only_error_columns(self, tmp_path, cell, kind):
+        path = tmp_path / "d.csv"
+        path.write_text(f"f1,f2,f3\n1,2,3\n4,5,{cell}\n")
+        with pytest.raises(kind) as err:
+            csvio.ingest_features_csv(path)
+        assert (err.value.line, err.value.column) == (3, 3)
+
+    @pytest.mark.parametrize("cell", ['"1.0"', "1_0", "\u0661", "1.0\u00b2", "0x10"])
+    def test_cells_outside_the_grammar_are_parse_errors(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"label,f1\na,1.0\nb,{cell}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            csvio.ingest_csv(path)
+        assert (err.value.line, err.value.column) == (3, 2)
+
+    def test_quoted_label_keeps_quotes(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('label,f1\n"a",1.0\n b ,\t2.5 \n')
+        data = csvio.ingest_csv(path)
+        assert data.labels == ('"a"', "b")
+        np.testing.assert_array_equal(data.features, [[1.0], [2.5]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=st.characters(blacklist_characters=",\r\n",
+                                          blacklist_categories=("Cs",)),
+                   max_size=12)
+           | st.floats().map(repr) | st.floats().map(lambda v: f" {v!r}\t"))
+    def test_any_cell_is_read_like_float_or_raises_typed(self, cell):
+        # Every cell either converts exactly as float() does (within the
+        # ASCII, underscore-free grammar) or names its line and column.
+        stripped = cell.strip()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(f"label,f1,f2\na,1,2\nb,{cell},3\n")
+            try:
+                value = float(stripped)
+            except ValueError:
+                value = None
+            if value is not None and stripped.isascii() and "_" not in stripped \
+                    and np.isfinite(value):
+                data = csvio.ingest_csv(path)
+                assert data.features[1, 0] == value
+            else:
+                with pytest.raises((ParseError, MissingValue)) as err:
+                    csvio.ingest_csv(path)
+                assert (err.value.line, err.value.column) == (3, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64,
+                      hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_export_ingest_round_trip_bit_exact(self, values):
+        original = Dataset(values, tuple("ab"[i % 2] for i in range(values.shape[0])))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            csvio.export_csv(original, path, meta="round trip")
+            back = csvio.ingest_csv(path)
+        assert back.features.shape == values.shape
+        assert back.features.tobytes() == values.tobytes()
+        assert back.labels == original.labels
+
+    def test_export_bytes_match_per_value_formatting(self, tmp_path):
+        special = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   0.1, 1.0, -3.0, 2.0 ** 53, 1e16, 123456789.0, 2.2250738585072014e-308]
+        rng = np.random.default_rng(11)
+        rows = np.vstack([special, rng.standard_normal((5, len(special)))])
+        data = Dataset(rows, tuple("xyxyxy"))
+        path = tmp_path / "d.csv"
+        csvio.export_csv(data, path, meta="bytes")
+        expected = ["# bytes", "label," + ",".join(f"f{j + 1}" for j in range(len(special)))]
+        for label, row in zip(data.labels, rows):
+            expected.append(label + "," + ",".join(format(v, ".17g") for v in row))
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
 
 class TestCommands:
@@ -201,6 +356,64 @@ class TestCommands:
         code = main(["train", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "m.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("corrupt", [
+        "schema", "not_json", "not_utf8", "json_list", "missing_key", "member_count",
+        "matrix_d", "matrix_p", "factor_upper", "factor_diag", "factor_size", "family",
+        "no_members", "one_class", "sparse_triplet",
+    ])
+    def test_bad_model_file_exits_nonzero_with_error_line(self, tmp_path, capsys, corrupt):
+        train_csv = tmp_path / "train.csv"
+        write_toy_csv(train_csv)
+        model_path = tmp_path / "model.json"
+        family = ["--family", "stp"] if corrupt == "sparse_triplet" else []
+        assert main(["train", "--data", str(train_csv), "--B", "4", "--d", "2",
+                     "--seed", "3", "--out", str(model_path)] + family) == 0
+        payload = json.loads(model_path.read_text())
+        member = payload["members"][1]
+        factor = member["model"]["classes"][0]["cov_lower"]
+        if corrupt == "schema":
+            payload = {"schema": "nope"}
+        elif corrupt == "json_list":
+            payload = [1, 2]
+        elif corrupt == "missing_key":
+            del payload["class_labels"]
+        elif corrupt == "member_count":
+            payload["members"].pop()
+        elif corrupt == "matrix_d":
+            member["matrix"]["d"] = 3
+        elif corrupt == "matrix_p":
+            member["matrix"]["entries"] = [row[:-1] for row in member["matrix"]["entries"]]
+        elif corrupt == "factor_upper":
+            factor[0][1] = 0.5
+        elif corrupt == "factor_diag":
+            factor[1][1] = -factor[1][1]
+        elif corrupt == "factor_size":
+            member["model"]["classes"][0]["cov_lower"] = [[1.0]]
+        elif corrupt == "family":
+            payload["config"]["family"] = "gauss"
+        elif corrupt == "sparse_triplet":
+            member["matrix"]["cols"][-1] = payload["p"]
+        elif corrupt == "no_members":
+            payload["config"]["B"], payload["members"] = 0, []
+        elif corrupt == "one_class":
+            payload["class_labels"] = payload["class_labels"][:1]
+            for m in payload["members"]:
+                del m["model"]["classes"][1:]
+        if corrupt == "not_json":
+            model_path.write_text("this is not json\n")
+        elif corrupt == "not_utf8":
+            model_path.write_bytes(b"\xff\xfe{}")
+        else:
+            model_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--data", str(train_csv),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if corrupt.startswith(("matrix", "factor", "sparse")):
+            assert "member 2" in err
 
     def test_parse_error_exits_nonzero_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

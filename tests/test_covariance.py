@@ -154,4 +154,8 @@ class TestStructureSpecifics:
         np.testing.assert_array_equal(cov.dense(), np.eye(9))
         v = np.arange(9.0)
         np.testing.assert_array_equal(cov.solve(v), v)
+        block = np.arange(36.0).reshape(9, 4)
+        np.testing.assert_array_equal(cov.matvec(v), v)
+        np.testing.assert_array_equal(cov.matvec(block), block)
+        np.testing.assert_array_equal(cov.solve(block), block)
         assert cov.log_det() == 0.0
