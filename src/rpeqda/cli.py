@@ -200,13 +200,13 @@ def cmd_viz2d(args) -> int:
             pred = model.labels[int(np.argmax(row))]
             diff = row[0] - row[1]
             handle.write(f"point,{x:.17g},{y:.17g},{label},{pred},{diff:.17g}\n")
-        for y in grid_y:
-            for x in grid_x:
-                row = qda.class_scores(model, np.array([x, y]))
-                pred = model.labels[int(np.argmax(row))]
-                diff = row[0] - row[1]
-                grid_cells.append((x, y, pred))
-                handle.write(f"grid,{x:.17g},{y:.17g},,{pred},{diff:.17g}\n")
+        # grid points row by row: x varies fastest
+        grid = np.column_stack([np.tile(grid_x, args.grid), np.repeat(grid_y, args.grid)])
+        for (x, y), row in zip(grid, qda.class_scores_rows(model, grid)):
+            pred = model.labels[int(np.argmax(row))]
+            diff = row[0] - row[1]
+            grid_cells.append((x, y, pred))
+            handle.write(f"grid,{x:.17g},{y:.17g},,{pred},{diff:.17g}\n")
     if args.svg:
         figures.svg_scatter(projected, data.labels, model.labels, grid_cells,
                             args.svg, title=f"2-d projection (boundary {first} vs {second})",

@@ -7,7 +7,6 @@ divergence oracle and the population-mode classifier need:
 * ``matvec(V)``    -- Sigma @ V for V of shape (p,) or (p, k)
 * ``solve(V)``     -- Sigma^{-1} @ V, exact (no iterative methods)
 * ``log_det()``    -- exact log-determinant
-* ``trace()``      -- exact trace
 * ``sample(n, g)`` -- n rows drawn from N(0, Sigma) using the structure
                       (cost O(p) to O(p * width) per row)
 * ``dense()``      -- explicit materialization, intended for p <= 2048
@@ -23,6 +22,7 @@ from scipy.linalg import cho_solve
 from scipy.signal import lfilter
 
 from . import linalg
+from .errors import InvalidCovariance
 
 # Generic trace products fall back to an O(p^2) column sweep; cap the size
 # so accidental huge inputs fail fast instead of thrashing.
@@ -68,9 +68,6 @@ class DenseCovariance:
     def log_det(self):
         return self._chol().log_det
 
-    def trace(self):
-        return float(np.trace(self.matrix))
-
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.p))
         return z @ self._chol().lower.T
@@ -91,9 +88,6 @@ class IdentityCovariance:
     def log_det(self):
         return 0.0
 
-    def trace(self):
-        return float(self.p)
-
     def sample(self, n, rng):
         return rng.standard_normal((n, self.p))
 
@@ -110,7 +104,7 @@ class EquiCorrelation:
 
     def __init__(self, p, rho):
         if not 0.0 <= rho < 1.0:
-            raise ValueError(f"need 0 <= rho < 1, got {rho}")
+            raise InvalidCovariance(f"need 0 <= rho < 1, got {rho}")
         self.p = p
         self.rho = rho
 
@@ -128,9 +122,6 @@ class EquiCorrelation:
     def log_det(self):
         return (self.p - 1) * math.log(1.0 - self.rho) + math.log(
             1.0 - self.rho + self.p * self.rho)
-
-    def trace(self):
-        return float(self.p)
 
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.p))
@@ -151,9 +142,9 @@ class ArProcessCovariance:
 
     def __init__(self, p, rho, scale=1.0):
         if not -1.0 < rho < 1.0:
-            raise ValueError(f"need |rho| < 1, got {rho}")
+            raise InvalidCovariance(f"need |rho| < 1, got {rho}")
         if scale <= 0.0:
-            raise ValueError(f"need scale > 0, got {scale}")
+            raise InvalidCovariance(f"need scale > 0, got {scale}")
         self.p = p
         self.rho = rho
         self.scale = scale
@@ -190,9 +181,6 @@ class ArProcessCovariance:
         return self.p * math.log(self.scale) + (self.p - 1) * math.log(
             1.0 - self.rho * self.rho)
 
-    def trace(self):
-        return self.p * self.scale
-
     def sample(self, n, rng):
         eps = rng.standard_normal((n, self.p))
         if self.p > 1:
@@ -218,9 +206,9 @@ class InverseArCovariance:
 
     def __init__(self, p, rho, scale=1.0):
         if not -1.0 < rho < 1.0:
-            raise ValueError(f"need |rho| < 1, got {rho}")
+            raise InvalidCovariance(f"need |rho| < 1, got {rho}")
         if scale <= 0.0:
-            raise ValueError(f"need scale > 0, got {scale}")
+            raise InvalidCovariance(f"need scale > 0, got {scale}")
         self.p = p
         self.rho = rho
         self.scale = scale
@@ -237,12 +225,6 @@ class InverseArCovariance:
     def log_det(self):
         return self.p * math.log(self.scale) - (self.p - 1) * math.log(
             1.0 - self.rho * self.rho)
-
-    def trace(self):
-        if self.p == 1:
-            return self.scale
-        rho2 = self.rho * self.rho
-        return self.scale * (2.0 + (self.p - 2) * (1.0 + rho2)) / (1.0 - rho2)
 
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.p))
@@ -276,7 +258,7 @@ class RotatedSpike:
         self.basis = np.asarray(basis, dtype=np.float64)
         self.lam = np.asarray(lam, dtype=np.float64)
         if np.any(self.lam <= 0.0):
-            raise ValueError("spectrum must be strictly positive")
+            raise InvalidCovariance("spectrum must be strictly positive")
         self.p = self.basis.shape[0]
 
     def matvec(self, v):
@@ -291,9 +273,6 @@ class RotatedSpike:
 
     def log_det(self):
         return float(np.sum(np.log(self.lam)))
-
-    def trace(self):
-        return float(np.sum(self.lam))
 
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.p))
@@ -317,9 +296,9 @@ class SpikedIdentity:
         self.basis = np.asarray(basis, dtype=np.float64).reshape(p, -1)
         self.gamma = np.asarray(gamma, dtype=np.float64).reshape(-1)
         if self.basis.shape[1] != self.gamma.shape[0]:
-            raise ValueError("basis and spectrum sizes differ")
+            raise InvalidCovariance("basis and spectrum sizes differ")
         if np.any(self.gamma <= -1.0):
-            raise ValueError("spike spectrum must keep Sigma positive definite")
+            raise InvalidCovariance("spike spectrum must keep Sigma positive definite")
 
     def matvec(self, v):
         if self.gamma.size == 0:
@@ -339,9 +318,6 @@ class SpikedIdentity:
     def log_det(self):
         return float(np.sum(np.log1p(self.gamma)))
 
-    def trace(self):
-        return float(self.p + np.sum(self.gamma))
-
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.p))
         if self.gamma.size == 0:
@@ -358,7 +334,7 @@ class ScaledCovariance:
 
     def __init__(self, base, scale):
         if scale <= 0.0:
-            raise ValueError(f"need scale > 0, got {scale}")
+            raise InvalidCovariance(f"need scale > 0, got {scale}")
         self.base = base
         self.scale = scale
 
@@ -374,9 +350,6 @@ class ScaledCovariance:
 
     def log_det(self):
         return self.base.log_det() + self.p * math.log(self.scale)
-
-    def trace(self):
-        return self.scale * self.base.trace()
 
     def sample(self, n, rng):
         return math.sqrt(self.scale) * self.base.sample(n, rng)
@@ -413,9 +386,6 @@ class BlockDiagonal:
 
     def log_det(self):
         return float(sum(b.log_det() for b in self.blocks))
-
-    def trace(self):
-        return float(sum(b.trace() for b in self.blocks))
 
     def sample(self, n, rng):
         return np.concatenate([b.sample(n, rng) for b in self.blocks], axis=1)

@@ -26,6 +26,14 @@ class UnknownProjectionFamily(RpeQdaError, ValueError):
     """A projection family is not one of the supported families."""
 
 
+class UnknownScheme(RpeQdaError, ValueError):
+    """A benchmark scheme id is not one of the defined schemes."""
+
+
+class InvalidCovariance(RpeQdaError, ValueError):
+    """Covariance handle parameters are out of range or inconsistent."""
+
+
 class NotPositiveDefinite(RpeQdaError):
     """A matrix required to be positive definite is singular or indefinite."""
 
@@ -77,7 +85,7 @@ class LengthMismatch(RpeQdaError):
     """Two sequences that must align have different lengths."""
 
 
-class EmptyInput(RpeQdaError):
+class EmptyInput(RpeQdaError, ValueError):
     """An operation received an empty sequence."""
 
 

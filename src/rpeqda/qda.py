@@ -82,8 +82,7 @@ def _fit_class(label, rows: np.ndarray, n_total: int, ridge: float) -> GaussianC
 
 
 def fit_grouped(groups, n_total: int, ridge: float = 0.0) -> QdaModel:
-    """Fit from pre-grouped (label, rows) pairs; shared by fit and the
-    projected per-member fits of the ensemble."""
+    """Fit from pre-grouped (label, rows) pairs."""
     if len(groups) < 2:
         raise TooFewClasses("QDA needs at least 2 classes")
     classes = tuple(_fit_class(label, rows, n_total, ridge)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, InvalidDimensions, UnknownProjectionFamily
+from .errors import DimensionMismatch, EmptyInput, InvalidDimensions, UnknownProjectionFamily
 from .rng import stream
 
 
@@ -120,7 +120,7 @@ def project_many(matrices, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     b = len(matrices)
     if b == 0:
-        raise ValueError("no matrices given")
+        raise EmptyInput("no matrices given")
     d, p = matrices[0].d, matrices[0].p
     if x.ndim != 2 or x.shape[1] != p:
         raise DimensionMismatch(

@@ -6,6 +6,14 @@ by averaging the per-class log scores over members, which reproduces every
 pairwise averaged discriminant simultaneously; classification is argmax of
 the averaged scores.
 
+The ensemble is held as one :class:`MemberStack`: the B matrices plus the
+stacked projected class means (B, J, d), Cholesky factors (B, J, d, d) and
+log-determinants (B, J).  Sample fit, population fit, scoring and model
+files all use this one representation.  Fitting computes every member's
+class moments at once, factors them with one batched Cholesky and redraws
+only the members that fail; scoring projects the rows through all matrices
+at once and whitens them with one batched forward substitution.
+
 Member b's matrix is generated from the derived seed mix(master_seed, b)
 (b = 1..B), so fitting and scoring are independent of processing order.
 If a member's projected covariance is singular (possible under sparse
@@ -13,14 +21,12 @@ matrices with, say, an all-zero row), that member redraws its matrix from
 mix(master_seed, b, attempt) for attempt = 1, 2, ... up to
 ``max_regen_retries`` before failing loudly.
 
-A known-parameter (population) mode constructs each member's projected
-model from exact moments: projected mean R mu_k and projected covariance
-R Sigma_k R', with Sigma_k applied columnwise through a structured handle
-so the ambient covariance is never materialized.  Members are built and
-scored in chunks of stacked arrays (one handle ``matvec``, one batched
-Cholesky and one batched whitening per class and chunk); a chunk holds as
-many members as fit in ``POPULATION_CHUNK_BYTES``, so memory stays bounded
-by that budget rather than growing with B.
+A known-parameter (population) mode builds each member from exact moments:
+projected mean R mu_k and projected covariance R Sigma_k R', with Sigma_k
+applied columnwise through a structured handle so the ambient covariance
+is never materialized.  Its members are built and scored in chunks; a
+chunk holds as many members as fit in ``POPULATION_CHUNK_BYTES``, so
+memory stays bounded by that budget rather than growing with B.
 
 Non-finite input rows are rejected with ``NonFiniteInput`` rather than
 scored.
@@ -31,28 +37,26 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import qda
 from .dataset import Dataset
 from .errors import (
     DimensionMismatch,
     MemberDegenerate,
     NonFiniteInput,
     ReducedDimTooLarge,
-    SingularCovariance,
     TooFewClasses,
 )
 from .linalg import cholesky_stack, forward_sq_norms
-from .randproj import ProjectionFamily, ProjectionMatrix, generate, project, project_many
+from .randproj import ProjectionFamily, generate, project_many
 from .rng import mix
 
 DEFAULT_ENSEMBLE_SIZE = 200
 DEFAULT_DIM_CAP = 10
 
 # Population mode holds about this many bytes of stacked member arrays at
-# a time (matrices plus projected rows), so its memory does not grow with
-# B: 2 MiB holds 14 members at d = 8, p = 2000 with 100 rows and two
-# classes.  Larger chunks save little time once per-call overhead is
-# spread over a chunk, but cost memory.
+# a time (matrices, counted twice, plus projected rows), so its memory does
+# not grow with B: 2 MiB holds 7 members at d = 8, p = 2000 with 100 rows
+# and two classes.  Larger chunks save little time once per-call overhead
+# is spread over a chunk, but cost memory.
 POPULATION_CHUNK_BYTES = 2 * 1024 * 1024
 
 # Finite checks scan this many values at a time, so they allocate no
@@ -76,21 +80,36 @@ class RpeConfig:
 
 
 @dataclass(frozen=True)
-class ProjectionMember:
-    """One random matrix and the QDA model fitted through it."""
+class MemberStack:
+    """Ensemble members as stacked arrays.
 
-    matrix: ProjectionMatrix
-    model: qda.QdaModel
+    For m members, J classes and reduced dimension d: ``matrices`` holds
+    the m ``ProjectionMatrix`` objects (each records the seed it was drawn
+    from, a redraw seed when the member redrew), ``means`` (m, J, d) the
+    projected class means, ``lower`` (m, J, d, d) the Cholesky factors of
+    the projected class covariances and ``log_det`` (m, J) their
+    log-determinants.
+    """
+
+    matrices: tuple
+    means: np.ndarray
+    lower: np.ndarray
+    log_det: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.matrices)
 
 
 @dataclass(frozen=True)
 class RpeModel:
-    """Trained ensemble: config (with d resolved) plus B members."""
+    """Trained ensemble: config (with d resolved), class priors (J,) and
+    the B members."""
 
     config: RpeConfig
     p: int
     class_labels: tuple
-    members: tuple
+    priors: np.ndarray
+    members: MemberStack
 
 
 def default_reduced_dim(p: int, n_min: int | None = None) -> int:
@@ -119,25 +138,68 @@ def _require_finite(x: np.ndarray, what: str) -> None:
                 f"{what}: row {lo + int(np.argmax(bad))} holds a non-finite value")
 
 
-def _fit_member(matrix, projected_rows, groups_idx, n_total, ridge):
-    groups = [(label, projected_rows[idx]) for label, idx in groups_idx]
-    return qda.fit_grouped(groups, n_total, ridge)
+def _fit_stack(config: RpeConfig, p: int, members, moments) -> MemberStack:
+    """Draw and factor the given members (1-based indices, in order).
+
+    ``moments(matrices)`` returns the projected class means (m, J, d) and
+    covariances (m, J, d, d) of a list of m matrices.  Every member's
+    covariances are factored in one ``cholesky_stack`` call; only the
+    members with a class that fails to factor redraw, from
+    ``member_seed(master_seed, b, attempt)``, and the first member (in
+    member order) still failing after ``max_regen_retries`` redraws raises
+    ``MemberDegenerate``.
+    """
+    d = config.d
+    matrices = [None] * len(members)
+    todo = np.arange(len(members))
+    for attempt in range(config.max_regen_retries + 1):
+        for i in todo:
+            matrices[i] = generate(config.family, d, p,
+                                   member_seed(config.master_seed, members[i], attempt))
+        drawn_means, covs = moments([matrices[i] for i in todo])
+        if config.ridge > 0.0:
+            covs = covs + config.ridge * np.eye(d)
+        drawn_lower, drawn_log_det, ok = cholesky_stack(covs)
+        if attempt == 0:
+            means, lower, log_det = drawn_means, drawn_lower, drawn_log_det
+        else:
+            means[todo], lower[todo], log_det[todo] = drawn_means, drawn_lower, drawn_log_det
+        todo = todo[~ok.all(axis=1)]
+        if not todo.size:
+            return MemberStack(tuple(matrices), means, lower, log_det)
+    b = members[todo[0]]
+    raise MemberDegenerate(
+        b, f"member {b}: projected covariance still singular "
+           f"after {config.max_regen_retries} redraws")
+
+
+def _accumulate_scores(acc: np.ndarray, stack: MemberStack, log_priors: np.ndarray,
+                       z_rows: np.ndarray) -> None:
+    """Add every member's (n, J) class scores of ``z_rows`` to ``acc``, in
+    member order, so the sum does not depend on how members are chunked."""
+    projected = project_many(stack.matrices, z_rows).transpose(0, 2, 1)
+    centered = projected[:, None] - stack.means[..., None]
+    scores = ((log_priors - 0.5 * stack.log_det)[..., None]
+              - 0.5 * forward_sq_norms(stack.lower, centered))
+    for member_scores in scores:
+        acc += member_scores.T
 
 
 def rpe_fit(data: Dataset, config: RpeConfig) -> RpeModel:
     """Fit the ensemble on labeled data.
 
-    For each member the training rows are projected once (d x p cost per
-    row) and a d-dimensional QDA is fitted on the projected rows, which
-    equals using the projected estimators R mu_hat and R Sigma_hat R'
-    without ever forming the p x p covariance.
+    The training rows are projected through every member's matrix at once
+    (d x p cost per row and member) and each member's class means and
+    covariances are estimated from its projected rows, which equals using
+    the projected estimators R mu_hat and R Sigma_hat R' without ever
+    forming the p x p covariance.
     """
     labels = data.class_labels
     if len(labels) < 2:
         raise TooFewClasses("need at least 2 classes")
     _require_finite(data.features, "training features")
-    groups_idx = [(label, data.class_indices(label)) for label in labels]
-    n_min = min(len(idx) for _, idx in groups_idx)
+    class_idx = [data.class_indices(label) for label in labels]
+    n_min = min(len(idx) for idx in class_idx)
     d = config.d if config.d is not None else default_reduced_dim(data.p, n_min)
     if d >= n_min:
         raise ReducedDimTooLarge(
@@ -145,30 +207,22 @@ def rpe_fit(data: Dataset, config: RpeConfig) -> RpeModel:
             f"(smallest class has {n_min} samples)")
     resolved = replace(config, d=d)
 
-    matrices = [generate(config.family, d, data.p, member_seed(config.master_seed, b))
-                for b in range(1, config.B + 1)]
-    projected = project_many(matrices, data.features)
+    def moments(matrices):
+        projected = project_many(matrices, data.features)
+        means, covs = [], []
+        for idx in class_idx:
+            rows = projected[:, idx]
+            mean = rows.mean(axis=1)
+            centered = rows - mean[:, None]
+            cov = centered.transpose(0, 2, 1) @ centered / (len(idx) - 1)
+            means.append(mean)
+            covs.append((cov + cov.transpose(0, 2, 1)) / 2.0)
+        return np.stack(means, axis=1), np.stack(covs, axis=1)
 
-    members = []
-    for i, b in enumerate(range(1, config.B + 1)):
-        matrix, rows = matrices[i], projected[i]
-        attempt = 0
-        while True:
-            try:
-                model = _fit_member(matrix, rows, groups_idx, data.n, config.ridge)
-                break
-            except SingularCovariance as exc:
-                attempt += 1
-                if attempt > config.max_regen_retries:
-                    raise MemberDegenerate(
-                        b, f"member {b}: projected covariance still singular "
-                           f"after {config.max_regen_retries} redraws ({exc})") from exc
-                matrix = generate(config.family, d, data.p,
-                                  member_seed(config.master_seed, b, attempt))
-                rows = project(matrix, data.features)
-        members.append(ProjectionMember(matrix=matrix, model=model))
-    return RpeModel(config=resolved, p=data.p,
-                    class_labels=tuple(labels), members=tuple(members))
+    members = _fit_stack(resolved, data.p, range(1, config.B + 1), moments)
+    priors = np.array([len(idx) / data.n for idx in class_idx])
+    return RpeModel(config=resolved, p=data.p, class_labels=tuple(labels),
+                    priors=priors, members=members)
 
 
 def rpe_scores_rows(model: RpeModel, z_rows: np.ndarray) -> np.ndarray:
@@ -182,10 +236,10 @@ def rpe_scores_rows(model: RpeModel, z_rows: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"rows of shape {z_rows.shape} against model with p={model.p}")
     _require_finite(z_rows, "rows to score")
-    projected = project_many([m.matrix for m in model.members], z_rows)
+    # math.log, as for the log priors that model files store
+    log_priors = np.array([math.log(prior) for prior in model.priors])
     acc = np.zeros((z_rows.shape[0], len(model.class_labels)))
-    for i, member in enumerate(model.members):
-        acc += qda.class_scores_rows(member.model, projected[i])
+    _accumulate_scores(acc, model.members, log_priors, z_rows)
     return acc / len(model.members)
 
 
@@ -208,78 +262,37 @@ def rpe_predict_rows(model: RpeModel, z_rows: np.ndarray) -> list:
     return [model.class_labels[j] for j in np.argmax(scores, axis=1)]
 
 
-@dataclass(frozen=True)
-class MemberStack:
-    """Consecutive population-mode members as stacked arrays.
-
-    For m consecutive members and J classes: ``seeds`` holds the seed
-    each matrix was drawn from (a redraw seed when the member redrew),
-    ``matrices`` is (m, d, p) dense, ``means`` (m, J, d) the projected
-    class means, ``lower`` (m, J, d, d) the Cholesky factors of the
-    projected class covariances and ``log_det`` (m, J) their
-    log-determinants.
-    """
-
-    seeds: tuple
-    matrices: np.ndarray
-    means: np.ndarray
-    lower: np.ndarray
-    log_det: np.ndarray
-
-
-def _draw_members(populations, family, d, p, seeds, ridge):
-    """Draw one matrix per seed and factor its projected class covariances.
-
-    Returns (matrices, means, lower, log_det, ok), the first four as in
-    MemberStack and ``ok`` (m,) marking members whose every class factors.
-    """
-    matrices = np.stack([generate(family, d, p, seed).to_dense() for seed in seeds])
-    m = len(seeds)
-    flat = matrices.reshape(m * d, p)
-    means, covs = [], []
-    for _, mean, cov in populations:
-        means.append((flat @ np.asarray(mean, dtype=np.float64)).reshape(m, d))
-        applied = cov.matvec(flat.T).reshape(p, m, d).transpose(1, 0, 2)
-        projected = matrices @ applied
-        covs.append((projected + projected.transpose(0, 2, 1)) / 2.0)
-    covs = np.stack(covs, axis=1)
-    if ridge > 0.0:
-        covs = covs + ridge * np.eye(d)
-    lower, log_det, ok = cholesky_stack(covs)
-    return matrices, np.stack(means, axis=1), lower, log_det, ok.all(axis=1)
-
-
 def population_stacks(populations, p: int, config: RpeConfig, rows: int = 0):
     """Yield the population-mode ensemble as MemberStack chunks in member
-    order, sized so that each chunk's matrices and the projected class
-    offsets of ``rows`` points take about ``POPULATION_CHUNK_BYTES``.
+    order, sized so that two copies of each chunk's matrices (their
+    payloads and the stacked copy that moments and scoring make) and the
+    projected class offsets of ``rows`` points take about
+    ``POPULATION_CHUNK_BYTES``.
 
-    A member whose projected covariance fails to factor redraws its matrix
-    under the same derived-seed policy as the sample fit.
+    Each chunk's class covariances come from one handle ``matvec`` over the
+    chunk's m·d matrix columns per class; members redraw under the same
+    policy as the sample fit.
     """
-    d = config.d if config.d is not None else default_reduced_dim(p)
-    member_bytes = 8 * d * (p + len(populations) * rows)
+    if config.d is None:
+        config = replace(config, d=default_reduced_dim(p))
+    d = config.d
+
+    def moments(matrices):
+        dense = np.stack([matrix.to_dense() for matrix in matrices])
+        m = len(matrices)
+        flat = dense.reshape(m * d, p)
+        means, covs = [], []
+        for _, mean, cov in populations:
+            means.append((flat @ np.asarray(mean, dtype=np.float64)).reshape(m, d))
+            applied = cov.matvec(flat.T).reshape(p, m, d).transpose(1, 0, 2)
+            projected = dense @ applied
+            covs.append((projected + projected.transpose(0, 2, 1)) / 2.0)
+        return np.stack(means, axis=1), np.stack(covs, axis=1)
+
+    member_bytes = 8 * d * (2 * p + len(populations) * rows)
     chunk = max(1, POPULATION_CHUNK_BYTES // member_bytes)
     for first in range(1, config.B + 1, chunk):
-        members = range(first, min(first + chunk, config.B + 1))
-        seeds = [member_seed(config.master_seed, b) for b in members]
-        *arrays, ok = _draw_members(
-            populations, config.family, d, p, seeds, config.ridge)
-        for i in np.flatnonzero(~ok):
-            b = members[i]
-            for attempt in range(1, config.max_regen_retries + 1):
-                seeds[i] = member_seed(config.master_seed, b, attempt)
-                *redrawn, redrawn_ok = _draw_members(
-                    populations, config.family, d, p, seeds[i:i + 1], config.ridge)
-                if redrawn_ok[0]:
-                    for whole, part in zip(arrays, redrawn):
-                        whole[i] = part[0]
-                    break
-            else:
-                raise MemberDegenerate(
-                    b, f"member {b}: projected population covariance "
-                       f"singular after {config.max_regen_retries} redraws")
-        yield MemberStack(tuple(seeds), *arrays)
+        yield _fit_stack(config, p, range(first, min(first + chunk, config.B + 1)), moments)
 
 
 def population_rpe_scores(populations, p: int, config: RpeConfig,
@@ -299,16 +312,9 @@ def population_rpe_scores(populations, p: int, config: RpeConfig,
         raise DimensionMismatch(
             f"rows of shape {z_rows.shape} against populations with p={p}")
     _require_finite(z_rows, "rows to score")
-    base = np.array([math.log(prior) for prior, _, _ in populations])
+    log_priors = np.array([math.log(prior) for prior, _, _ in populations])
     acc = np.zeros((z_rows.shape[0], len(populations)))
     for stack in population_stacks(populations, p, config, rows=z_rows.shape[0]):
-        # (m, d, n) projected rows, centred per class to (m, J, d, n).
-        m, d, _ = stack.matrices.shape
-        projected = (stack.matrices.reshape(m * d, p) @ z_rows.T).reshape(m, d, -1)
-        centered = projected[:, None] - stack.means[..., None]
-        scores = ((base - 0.5 * stack.log_det)[..., None]
-                  - 0.5 * forward_sq_norms(stack.lower, centered))
-        for member_scores in scores:
-            acc += member_scores.T
+        _accumulate_scores(acc, stack, log_priors, z_rows)
     acc /= config.B
     return acc[0] if single else acc

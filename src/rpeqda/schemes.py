@@ -20,7 +20,6 @@ import numpy as np
 from .covariance import (
     ArProcessCovariance,
     BlockDiagonal,
-    DenseCovariance,
     EquiCorrelation,
     IdentityCovariance,
     InverseArCovariance,
@@ -30,8 +29,8 @@ from .covariance import (
     trace_solve_product,
 )
 from .dataset import Dataset
-from .errors import DimensionTooSmall
-from .linalg import cholesky, orthonormal_columns, qr_orthogonal, solve_quadratic_form
+from .errors import DimensionTooSmall, UnknownScheme
+from .linalg import orthonormal_columns, qr_orthogonal
 from .rng import mix, stream
 
 SCHEME_IDS = ("s1", "s2", "s3", "s4", "example2")
@@ -162,7 +161,7 @@ def build_scheme(scheme_id: str, p: int, structure_seed: int = 0) -> SchemeSpec:
         return _scheme3(p)
     if key == "s4":
         return _scheme4(p, structure_seed)
-    raise ValueError(f"unknown scheme {scheme_id!r} (expected one of {SCHEME_IDS})")
+    raise UnknownScheme(f"unknown scheme {scheme_id!r} (expected one of {SCHEME_IDS})")
 
 
 def build_example2(p: int, c: float, r: int, spike_bound: float = 10.0,
@@ -240,23 +239,6 @@ def kl_divergence(a, b) -> float:
     return kl
 
 
-def kl_divergence_dense(a, b) -> float:
-    """Dense-path KL (explicit materialization + Cholesky); the cross-check
-    route for the structured oracle at p <= 2048."""
-    mean_a, cov_a = _params(a)
-    mean_b, cov_b = _params(b)
-    p = cov_a.p
-    dense_a = cov_a.dense() if not isinstance(cov_a, np.ndarray) else cov_a
-    dense_b = cov_b.dense() if not isinstance(cov_b, np.ndarray) else cov_b
-    factor_a = cholesky(dense_a)
-    factor_b = cholesky(dense_b)
-    half = np.linalg.solve(factor_a.lower, dense_b)
-    trace_term = float(np.trace(np.linalg.solve(factor_a.lower, half.T)))
-    dmu = mean_a - mean_b
-    quad = solve_quadratic_form(factor_a, dmu)
-    return 0.5 * (trace_term + quad - p + factor_a.log_det - factor_b.log_det)
-
-
 def kl_summary(spec: SchemeSpec) -> dict:
     """Both directed divergences plus the table conventions min KL / p and
     2 min KL / p (the published tables are ambiguous about the factor 2)."""
@@ -270,9 +252,3 @@ def kl_summary(spec: SchemeSpec) -> dict:
         "kl_min_over_p": smallest / spec.p,
         "two_kl_min_over_p": 2.0 * smallest / spec.p,
     }
-
-
-def dense_population(prior, mean, matrix) -> Population:
-    """Convenience wrapper for tests and small-scale population runs."""
-    return Population(prior, np.asarray(mean, dtype=np.float64),
-                      DenseCovariance(matrix))

@@ -19,10 +19,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ModelFormatError
-from .linalg import CholeskyFactor
-from .qda import GaussianClassModel, QdaModel
 from .randproj import ProjectionFamily, ProjectionMatrix, generate
-from .rpe import ProjectionMember, RpeConfig, RpeModel
+from .rpe import MemberStack, RpeConfig, RpeModel
 
 MODEL_SCHEMA = "rpeqda-model/1"
 REPORT_SCHEMA = "rpeqda-report/1"
@@ -112,25 +110,12 @@ def _matrix_from_dict(payload: dict) -> ProjectionMatrix:
     return generate(family, payload["d"], payload["p"], payload["seed"])
 
 
-def _class_to_dict(c: GaussianClassModel) -> dict:
-    return {"label": c.label, "prior": c.prior, "log_prior": c.log_prior,
-            "mean": c.mean, "cov_lower": c.cov_factor.lower,
-            "log_det": c.cov_factor.log_det}
-
-
-def _class_from_dict(payload: dict) -> GaussianClassModel:
-    return GaussianClassModel(
-        label=payload["label"], prior=payload["prior"],
-        log_prior=payload["log_prior"],
-        mean=np.asarray(payload["mean"], dtype=np.float64),
-        cov_factor=CholeskyFactor(
-            lower=np.asarray(payload["cov_lower"], dtype=np.float64),
-            log_det=payload["log_det"]))
-
-
 def model_to_dict(model: RpeModel, compact: bool = False,
                   run_config: dict | None = None) -> dict:
     cfg = model.config
+    stack = model.members
+    classes = [(str(label), float(prior), math.log(prior))
+               for label, prior in zip(model.class_labels, model.priors)]
     return {
         "schema": MODEL_SCHEMA,
         "tool": tool_version(),
@@ -142,9 +127,13 @@ def model_to_dict(model: RpeModel, compact: bool = False,
                    "master_seed": cfg.master_seed, "ridge": cfg.ridge,
                    "max_regen_retries": cfg.max_regen_retries},
         "members": [
-            {"matrix": _matrix_to_dict(m.matrix, compact),
-             "model": {"classes": [_class_to_dict(c) for c in m.model.classes]}}
-            for m in model.members],
+            {"matrix": _matrix_to_dict(matrix, compact),
+             "model": {"classes": [
+                 {"label": label, "prior": prior, "log_prior": log_prior,
+                  "mean": stack.means[b, j], "cov_lower": stack.lower[b, j],
+                  "log_det": stack.log_det[b, j]}
+                 for j, (label, prior, log_prior) in enumerate(classes)]}}
+            for b, matrix in enumerate(stack.matrices)],
     }
 
 
@@ -160,15 +149,18 @@ def model_from_dict(payload: dict) -> RpeModel:
                            family=ProjectionFamily(cfg["family"]),
                            master_seed=cfg["master_seed"], ridge=cfg["ridge"],
                            max_regen_retries=cfg["max_regen_retries"])
-        members = tuple(
-            ProjectionMember(
-                matrix=_matrix_from_dict(m["matrix"]),
-                model=QdaModel(classes=tuple(
-                    _class_from_dict(c) for c in m["model"]["classes"])))
-            for m in payload["members"])
-        model = RpeModel(config=config, p=payload["p"],
-                         class_labels=tuple(payload["class_labels"]),
-                         members=members)
+        labels = tuple(payload["class_labels"])
+        members = payload["members"]
+        if not members or len(members) != config.B:
+            raise ModelFormatError(
+                f"model file has {len(members)} members, config B = {config.B}")
+        if len(labels) < 2:
+            raise ModelFormatError(f"model file has classes {labels}, need 2 or more")
+        matrices = tuple(_matrix_from_dict(m["matrix"]) for m in members)
+        priors, means, lower, log_det = _class_arrays(
+            [m["model"]["classes"] for m in members], labels, config.d)
+        model = RpeModel(config=config, p=payload["p"], class_labels=labels, priors=priors,
+                         members=MemberStack(matrices, means, lower, log_det))
     except KeyError as exc:
         raise ModelFormatError(f"model file lacks key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -177,38 +169,50 @@ def model_from_dict(payload: dict) -> RpeModel:
     return model
 
 
+def _class_arrays(classes, labels, d):
+    """The priors (J,) and the stacked means (B, J, d), factors
+    (B, J, d, d) and log-determinants (B, J) of every member's class
+    entries, checking that each member lists the model's classes with
+    member 1's priors (and their logarithms) and d-dimensional fields."""
+    priors = [c["prior"] for c in classes[0]]
+    shared = [(prior, math.log(prior)) for prior in priors]
+    means, lower, log_det = [], [], []
+    for b, member in enumerate(classes, start=1):
+        found = tuple(c["label"] for c in member)
+        if found != labels:
+            raise ModelFormatError(f"member {b}: classes {found} differ from {labels}")
+        if [(c["prior"], c["log_prior"]) for c in member] != shared:
+            raise ModelFormatError(
+                f"member {b}: class (prior, log_prior) pairs differ from {shared}")
+        for c in member:
+            means.append(np.asarray(c["mean"], dtype=np.float64))
+            lower.append(np.asarray(c["cov_lower"], dtype=np.float64))
+            log_det.append(float(c["log_det"]))
+            if means[-1].shape != (d,) or lower[-1].shape != (d, d):
+                raise ModelFormatError(
+                    f"member {b}, class {c['label']!r}: mean or factor is not of dimension {d}")
+    shape = (len(classes), len(labels))
+    return (np.array(priors, dtype=np.float64), np.stack(means).reshape(shape + (d,)),
+            np.stack(lower).reshape(shape + (d, d)), np.array(log_det).reshape(shape))
+
+
 def _check_model(model: RpeModel) -> None:
-    """Check that the members agree with the model's B, d, p and classes,
-    and that every class factor is d x d lower triangular with a positive
-    diagonal (checked on the stacked factors)."""
+    """Check that every member's matrix is d x p and that every class
+    factor is lower triangular with a positive diagonal (checked on the
+    stacked (B, J, d, d) factors)."""
     d, p = model.config.d, model.p
-    if not model.members or len(model.members) != model.config.B:
-        raise ModelFormatError(
-            f"model file has {len(model.members)} members, config B = {model.config.B}")
-    if len(model.class_labels) < 2:
-        raise ModelFormatError(f"model file has classes {model.class_labels}, need 2 or more")
-    for b, member in enumerate(model.members, start=1):
-        matrix = member.matrix
+    for b, matrix in enumerate(model.members.matrices, start=1):
         shape = matrix.entries.shape if matrix.entries is not None else (matrix.d, matrix.p)
         if (matrix.d, matrix.p) != (d, p) or shape != (d, p):
             raise ModelFormatError(
                 f"member {b}: matrix is {shape[0]} x {shape[1]}, model is {d} x {p}")
         if matrix.entries is None and not _triplets_fit(matrix):
             raise ModelFormatError(f"member {b}: sparse triplets do not fit {d} x {p}")
-        if member.model.labels != model.class_labels:
-            raise ModelFormatError(
-                f"member {b}: classes {member.model.labels} differ from "
-                f"{model.class_labels}")
-        for c in member.model.classes:
-            if c.mean.shape != (d,) or c.cov_factor.lower.shape != (d, d):
-                raise ModelFormatError(
-                    f"member {b}, class {c.label!r}: mean or factor is not of dimension {d}")
-    lower = np.stack([c.cov_factor.lower
-                      for m in model.members for c in m.model.classes])
-    valid = (~np.triu(lower, 1).any(axis=(1, 2))
-             & (np.diagonal(lower, axis1=1, axis2=2) > 0).all(axis=1))
+    lower = model.members.lower
+    valid = (~np.triu(lower, 1).any(axis=(2, 3))
+             & (np.diagonal(lower, axis1=2, axis2=3) > 0).all(axis=2))
     if not valid.all():
-        b, j = divmod(int(np.argmin(valid)), len(model.class_labels))
+        b, j = np.unravel_index(int(np.argmin(valid)), valid.shape)
         raise ModelFormatError(
             f"member {b + 1}, class {model.class_labels[j]!r}: covariance factor is "
             f"not lower triangular with a positive diagonal")

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rpeqda import csvio, serialize
+from rpeqda import csvio, qda, serialize
 from rpeqda.cli import main
 from rpeqda.dataset import Dataset
 from rpeqda.errors import InconsistentWidth, MissingValue, ParseError
+from rpeqda.randproj import ProjectionFamily, generate, project
 
 
 def write_toy_csv(path, n_per_class=12, p=3, gap=60.0, seed=0):
@@ -321,6 +322,29 @@ class TestCommands:
         np.testing.assert_allclose(diffs, -diffs[::-1, ::-1], atol=1e-9)
         assert svg.read_text().startswith("<svg")
 
+    def test_viz2d_grid_matches_per_point_scores(self, tmp_path):
+        # the grid is scored in one batch; each cell must match scoring its
+        # point alone: same predicted class, discriminant within 1e-12
+        rng = np.random.default_rng(12)
+        x = np.vstack([rng.standard_normal((15, 8)),
+                       rng.standard_normal((15, 8)) * 1.8 + 0.6])
+        data = Dataset(x, ("a",) * 15 + ("b",) * 15)
+        train_csv = tmp_path / "train.csv"
+        csvio.export_csv(data, train_csv)
+        out = tmp_path / "viz.csv"
+        assert main(["viz2d", "--data", str(train_csv), "--seed", "5",
+                     "--grid", "25", "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if l.startswith("grid")]
+        assert len(rows) == 625
+        assert len({r[2] for r in rows[:25]}) == 1 and len({r[1] for r in rows[:25]}) == 25
+        matrix = generate(ProjectionFamily.STANDARD_NORMAL, 2, 8, 5)
+        plane = qda.fit(Dataset(project(matrix, csvio.ingest_csv(train_csv).features),
+                                data.labels))
+        for _, gx, gy, _, pred, diff in rows:
+            want = qda.class_scores(plane, np.array([float(gx), float(gy)]))
+            assert pred == plane.labels[int(np.argmax(want))]
+            assert float(diff) == pytest.approx(want[0] - want[1], rel=1e-12, abs=0)
+
     def test_bench_single_rep(self, tmp_path):
         out = tmp_path / "bench.json"
         assert main(["bench", "--scheme", "s2", "--p", "64", "--reps", "1",
@@ -360,7 +384,7 @@ class TestCommands:
     @pytest.mark.parametrize("corrupt", [
         "schema", "not_json", "not_utf8", "json_list", "missing_key", "member_count",
         "matrix_d", "matrix_p", "factor_upper", "factor_diag", "factor_size", "family",
-        "no_members", "one_class", "sparse_triplet",
+        "no_members", "one_class", "sparse_triplet", "prior_member", "prior_log",
     ])
     def test_bad_model_file_exits_nonzero_with_error_line(self, tmp_path, capsys, corrupt):
         train_csv = tmp_path / "train.csv"
@@ -396,6 +420,13 @@ class TestCommands:
             member["matrix"]["cols"][-1] = payload["p"]
         elif corrupt == "no_members":
             payload["config"]["B"], payload["members"] = 0, []
+        elif corrupt == "prior_member":
+            # members must share each class's prior
+            member["model"]["classes"][0]["prior"] = 0.25
+        elif corrupt == "prior_log":
+            # consistent across members, but not the logarithm of the prior
+            for m in payload["members"]:
+                m["model"]["classes"][0]["log_prior"] -= 0.5
         elif corrupt == "one_class":
             payload["class_labels"] = payload["class_labels"][:1]
             for m in payload["members"]:
@@ -412,7 +443,7 @@ class TestCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        if corrupt.startswith(("matrix", "factor", "sparse")):
+        if corrupt.startswith(("matrix", "factor", "sparse")) or corrupt == "prior_member":
             assert "member 2" in err
 
     def test_parse_error_exits_nonzero_with_line(self, tmp_path, capsys):

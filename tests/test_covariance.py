@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rpeqda import linalg
+from rpeqda.errors import InvalidCovariance, RpeQdaError
 from rpeqda.covariance import (
     ArProcessCovariance,
     BlockDiagonal,
@@ -71,7 +72,9 @@ class TestHandleAgainstDense:
         sign, logdet = np.linalg.slogdet(dense)
         assert sign > 0
         assert cov.log_det() == pytest.approx(logdet, abs=1e-9)
-        assert cov.trace() == pytest.approx(np.trace(dense), rel=1e-12)
+        # the KL oracle's trace term, tr(I^{-1} Sigma), through the handle
+        assert trace_solve_product(IdentityCovariance(cov.p), cov) == pytest.approx(
+            np.trace(dense), rel=1e-12)
 
     def test_sampler_moments(self, name):
         cov = make_handles()[name]
@@ -82,6 +85,24 @@ class TestHandleAgainstDense:
         scale = max(np.max(np.abs(dense)), 1.0)
         assert np.max(np.abs(emp - dense)) <= 0.08 * scale
         assert np.max(np.abs(draws.mean(axis=0))) <= 0.05 * np.sqrt(scale)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EquiCorrelation(5, 1.0),
+    lambda: EquiCorrelation(5, -0.1),
+    lambda: ArProcessCovariance(5, 1.0),
+    lambda: ArProcessCovariance(5, 0.5, scale=0.0),
+    lambda: InverseArCovariance(5, -1.0),
+    lambda: InverseArCovariance(5, 0.5, scale=-2.0),
+    lambda: RotatedSpike(np.eye(3), np.array([1.0, 0.0, 2.0])),
+    lambda: SpikedIdentity(4, np.eye(4)[:, :2], np.array([1.0])),
+    lambda: SpikedIdentity(4, np.eye(4)[:, :1], np.array([-1.0])),
+    lambda: ScaledCovariance(IdentityCovariance(3), 0.0),
+])
+def test_invalid_parameters_rejected(build):
+    with pytest.raises(InvalidCovariance) as err:
+        build()
+    assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
 
 
 class TestTraceSolveProduct:

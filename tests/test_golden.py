@@ -1,0 +1,129 @@
+"""Golden values for the seeded streams that model files depend on.
+
+Compact model files store only matrix seeds, and every subseed comes from
+``rng.mix``, so a change in ``mix``, in numpy's Philox, ziggurat,
+``binomial`` or ``choice`` streams, or in the model-file layout would
+silently change predictions.  These hashes pin them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from rpeqda import qda, rpe, serialize
+from rpeqda.dataset import Dataset
+from rpeqda.errors import MemberDegenerate, SingularCovariance
+from rpeqda.randproj import ProjectionFamily, generate, project
+from rpeqda.rng import mix
+
+SN = ProjectionFamily.STANDARD_NORMAL
+STP = ProjectionFamily.SPARSE_THREE_POINT
+
+GENERATE_SHA256 = {
+    SN: "0105ec3509cd0ad76c4b707c6997fb0a033a9634b8c0196bfd730b5a0fa2a057",
+    STP: "c1f344e9308bc03de7cad2101b466c116baf0c2742016a126ff8afb9d61ade8f",
+}
+MIX_SHA256 = "1b247a10ebc26cb9641232a0f517ba9d21d116c268218e0ae4967eb32f4b7848"
+MODEL_SHA256 = {
+    "sn-full": "3d2eeec70694653301022ecc54b6027d0dc79da86ad9f9fafd088aabdb8e2391",
+    "stp-compact": "1233db6179f668a354c92bfe4f09b815612f314928868a3de95d83344d76baac",
+}
+
+
+def _sha(chunks) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _matrix_bytes(matrix):
+    if matrix.entries is not None:
+        return [matrix.entries.tobytes()]
+    return [matrix.rows.tobytes(), matrix.cols.tobytes(), matrix.signs.tobytes()]
+
+
+@pytest.mark.parametrize("family, d, p", [(SN, 3, 17), (STP, 4, 50)])
+def test_generate_streams(family, d, p):
+    # first draws of members 1-3 under two master seeds, then member 2's
+    # first redraw seed
+    seeds = [rpe.member_seed(m, b) for m in (0, 7) for b in (1, 2, 3)]
+    seeds.append(rpe.member_seed(7, 2, 1))
+    chunks = [c for seed in seeds for c in _matrix_bytes(generate(family, d, p, seed))]
+    assert _sha(chunks) == GENERATE_SHA256[family]
+
+
+def test_mix_outputs():
+    words = [(), (1,), (2,), (1, 1), (5, 3), (-1,), (2 ** 64 - 1, 0)]
+    values = [mix(seed, *w) for seed in (0, 1, 123456789, -5, 2 ** 63) for w in words]
+    assert _sha([np.array(values, dtype=np.uint64).tobytes()]) == MIX_SHA256
+
+
+def _small_data():
+    rng = np.random.default_rng(2024)
+    x = np.vstack([rng.standard_normal((12, 30)),
+                   rng.standard_normal((9, 30)) * 1.3 + 0.5])
+    return Dataset(x, ("u",) * 12 + ("v",) * 9)
+
+
+@pytest.mark.parametrize("name, family, compact", [
+    ("sn-full", SN, False), ("stp-compact", STP, True)])
+def test_model_file_bytes(tmp_path, name, family, compact):
+    model = rpe.rpe_fit(_small_data(), rpe.RpeConfig(B=4, d=3, family=family,
+                                                     master_seed=11))
+    path = tmp_path / "model.json"
+    serialize.save_model(model, path, compact=compact)
+    assert _sha([path.read_bytes()]) == MODEL_SHA256[name]
+
+
+def oracle_sample_fit(data, config):
+    """Member-by-member sample-mode ensemble: each member projects the
+    training rows, fits a QDA on them and redraws its matrix while a class
+    covariance is singular.  Returns (seeds, score function)."""
+    groups_idx = [(label, data.class_indices(label)) for label in data.class_labels]
+    members = []
+    for b in range(1, config.B + 1):
+        for attempt in range(config.max_regen_retries + 1):
+            matrix = generate(config.family, config.d, data.p,
+                              rpe.member_seed(config.master_seed, b, attempt))
+            rows = project(matrix, data.features)
+            try:
+                model = qda.fit_grouped([(label, rows[idx]) for label, idx in groups_idx],
+                                        data.n, config.ridge)
+                break
+            except SingularCovariance:
+                continue
+        else:
+            raise AssertionError(f"member {b} exhausted its redraws")
+        members.append((matrix, model))
+
+    def scores(z_rows):
+        acc = np.zeros((len(z_rows), len(groups_idx)))
+        for matrix, model in members:
+            acc += qda.class_scores_rows(model, project(matrix, z_rows))
+        return acc / len(members)
+
+    return [matrix.seed for matrix, _ in members], scores
+
+
+def test_sample_fit_matches_member_oracle():
+    # at p = 6 sparse matrices often have an all-zero or repeated row;
+    # master seed 5 redraws members 3, 6, 7, 10, 11 once and member 12 twice
+    rng = np.random.default_rng(41)
+    x = np.vstack([rng.standard_normal((10, 6)), rng.standard_normal((8, 6)) * 1.5 + 0.4])
+    data = Dataset(x, ("a",) * 10 + ("b",) * 8)
+    config = rpe.RpeConfig(B=12, d=3, family=STP, master_seed=5)
+    model = rpe.rpe_fit(data, config)
+    seeds, oracle_scores = oracle_sample_fit(data, config)
+    assert [m.seed for m in model.members.matrices] == seeds
+    redraws = {b: next(a for a in range(3) if rpe.member_seed(5, b, a) == seed)
+               for b, seed in enumerate(seeds, start=1)}
+    assert {b: a for b, a in redraws.items() if a} == {3: 1, 6: 1, 7: 1, 10: 1, 11: 1, 12: 2}
+    z_rows = rng.standard_normal((40, 6)) * 1.5
+    np.testing.assert_allclose(rpe.rpe_scores_rows(model, z_rows), oracle_scores(z_rows),
+                               rtol=1e-12, atol=0)
+    with pytest.raises(MemberDegenerate) as err:
+        rpe.rpe_fit(data, rpe.RpeConfig(B=12, d=3, family=STP, master_seed=5,
+                                        max_regen_retries=1))
+    assert err.value.member == 12

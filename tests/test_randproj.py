@@ -6,6 +6,7 @@ import pytest
 from rpeqda import randproj
 from rpeqda.errors import (
     DimensionMismatch,
+    EmptyInput,
     InvalidDimensions,
     RpeQdaError,
     UnknownProjectionFamily,
@@ -127,6 +128,11 @@ class TestProject:
         for i, m in enumerate(mats):
             np.testing.assert_allclose(stacked[i], project(m, x),
                                        rtol=1e-12, atol=1e-12)
+
+    def test_project_many_needs_a_matrix(self):
+        with pytest.raises(EmptyInput) as err:
+            project_many([], np.zeros((2, 3)))
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
 
 
 class TestSeedMixing:

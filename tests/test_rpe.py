@@ -18,7 +18,6 @@ from rpeqda.errors import (
     TooFewClasses,
 )
 from rpeqda.randproj import ProjectionFamily, generate, project
-from rpeqda.rng import stream
 
 SN = ProjectionFamily.STANDARD_NORMAL
 STP = ProjectionFamily.SPARSE_THREE_POINT
@@ -44,8 +43,8 @@ class TestFit:
         config = rpe.RpeConfig(B=5, d=3, master_seed=77)
         m1 = rpe.rpe_fit(data, config)
         m2 = rpe.rpe_fit(data, config)
-        for a, b in zip(m1.members, m2.members):
-            np.testing.assert_array_equal(a.matrix.to_dense(), b.matrix.to_dense())
+        for a, b in zip(m1.members.matrices, m2.members.matrices):
+            np.testing.assert_array_equal(a.to_dense(), b.to_dense())
         z = np.random.default_rng(2).standard_normal((10, 5))
         np.testing.assert_array_equal(rpe.rpe_scores_rows(m1, z),
                                       rpe.rpe_scores_rows(m2, z))
@@ -91,8 +90,8 @@ class TestFit:
         data = two_class_data(np.random.default_rng(3))
         config = rpe.RpeConfig(B=4, d=3, master_seed=123)
         model = rpe.rpe_fit(data, config)
-        for b, member in enumerate(model.members, start=1):
-            assert member.matrix.seed == rpe.member_seed(123, b)
+        for b, matrix in enumerate(model.members.matrices, start=1):
+            assert matrix.seed == rpe.member_seed(123, b)
 
     def test_projected_fit_equals_projected_estimators(self):
         # member QDA mean/cov must equal R mu_hat and R Sigma_hat R'
@@ -100,55 +99,52 @@ class TestFit:
         data = two_class_data(rng, n_per_class=20, p=7)
         config = rpe.RpeConfig(B=1, d=3, master_seed=5)
         model = rpe.rpe_fit(data, config)
-        member = model.members[0]
-        r = member.matrix.to_dense()
-        for c in member.model.classes:
-            rows = data.features[data.class_indices(c.label)]
+        stack = model.members
+        r = stack.matrices[0].to_dense()
+        for j, label in enumerate(model.class_labels):
+            rows = data.features[data.class_indices(label)]
             mu = rows.mean(axis=0)
             centered = rows - mu
             ambient_cov = centered.T @ centered / (len(rows) - 1)
-            np.testing.assert_allclose(c.mean, r @ mu, rtol=1e-10)
+            np.testing.assert_allclose(stack.means[0, j], r @ mu, rtol=1e-10)
+            lower = stack.lower[0, j]
             np.testing.assert_allclose(
-                c.cov_factor.lower @ c.cov_factor.lower.T,
-                r @ ambient_cov @ r.T, rtol=1e-8, atol=1e-10)
+                lower @ lower.T, r @ ambient_cov @ r.T, rtol=1e-8, atol=1e-10)
+            assert stack.log_det[0, j] == pytest.approx(
+                np.linalg.slogdet(r @ ambient_cov @ r.T)[1], rel=1e-10)
+        np.testing.assert_array_equal(model.priors, [0.5, 0.5])
 
 
 class TestScores:
     def test_identical_members_average_to_single(self):
         data = two_class_data(np.random.default_rng(5))
         model = rpe.rpe_fit(data, rpe.RpeConfig(B=1, d=3, master_seed=9))
-        member = model.members[0]
-        tripled = rpe.RpeModel(config=model.config, p=model.p,
-                               class_labels=model.class_labels,
-                               members=(member, member, member))
+        tripled = with_members(model, [0, 0, 0])
         z = np.random.default_rng(6).standard_normal(5)
         np.testing.assert_allclose(rpe.rpe_scores(tripled, z),
                                    rpe.rpe_scores(model, z), rtol=1e-12)
 
     def test_pairwise_mean_arithmetic(self):
-        # members with discriminants 1.0 and -0.2 average to 0.4
-        def const_member(d01):
-            classes = (
-                qda.GaussianClassModel("0", 0.5, math.log(0.5) + d01,
-                                       np.zeros(1), _unit_factor()),
-                qda.GaussianClassModel("1", 0.5, math.log(0.5),
-                                       np.zeros(1), _unit_factor()))
-            matrix = generate(SN, 1, 3, seed=int(d01 * 10) & 0xFFFF)
-            return rpe.ProjectionMember(matrix=matrix,
-                                        model=qda.QdaModel(classes=classes))
-
+        # members with discriminants 1.0 and -0.2 average to 0.4: at the
+        # origin every projected point is 0, so member b's discriminant is
+        # half the log-det gap between its classes, set through the factors
+        d01 = np.array([1.0, -0.2])
+        lower = np.ones((2, 2, 1, 1))
+        lower[:, 0, 0, 0] = np.exp(-d01)
+        stack = rpe.MemberStack(
+            matrices=tuple(generate(SN, 1, 3, seed=s) for s in (10, 11)),
+            means=np.zeros((2, 2, 1)), lower=lower,
+            log_det=2.0 * np.log(lower[..., 0, 0]))
         model = rpe.RpeModel(config=rpe.RpeConfig(B=2, d=1), p=3,
-                             class_labels=("0", "1"),
-                             members=(const_member(1.0), const_member(-0.2)))
+                             class_labels=("0", "1"), priors=np.array([0.5, 0.5]),
+                             members=stack)
         scores = rpe.rpe_scores(model, np.zeros(3))
         assert scores[0] - scores[1] == pytest.approx(0.4, abs=1e-12)
 
     def test_replication_invariance(self):
         data = two_class_data(np.random.default_rng(7))
         model = rpe.rpe_fit(data, rpe.RpeConfig(B=3, d=3, master_seed=11))
-        doubled = rpe.RpeModel(config=model.config, p=model.p,
-                               class_labels=model.class_labels,
-                               members=model.members + model.members)
+        doubled = with_members(model, [0, 1, 2, 0, 1, 2])
         z_rows = np.random.default_rng(8).standard_normal((20, 5))
         np.testing.assert_allclose(rpe.rpe_scores_rows(doubled, z_rows),
                                    rpe.rpe_scores_rows(model, z_rows), atol=1e-12)
@@ -158,9 +154,7 @@ class TestScores:
     def test_member_permutation_tolerance(self):
         data = two_class_data(np.random.default_rng(9))
         model = rpe.rpe_fit(data, rpe.RpeConfig(B=8, d=3, master_seed=13))
-        permuted = rpe.RpeModel(config=model.config, p=model.p,
-                                class_labels=model.class_labels,
-                                members=model.members[::-1])
+        permuted = with_members(model, range(7, -1, -1))
         z_rows = np.random.default_rng(10).standard_normal((25, 5))
         base = rpe.rpe_scores_rows(model, z_rows)
         swapped = rpe.rpe_scores_rows(permuted, z_rows)
@@ -171,19 +165,10 @@ class TestScores:
     def test_prior_scaling_invariance_of_pairwise_discriminants(self):
         data = two_class_data(np.random.default_rng(11))
         model = rpe.rpe_fit(data, rpe.RpeConfig(B=4, d=3, master_seed=15))
-        shift = math.log(3.7)
-        scaled_members = tuple(
-            rpe.ProjectionMember(
-                matrix=m.matrix,
-                model=qda.QdaModel(classes=tuple(
-                    qda.GaussianClassModel(label=c.label, prior=c.prior,
-                                           log_prior=c.log_prior + shift,
-                                           mean=c.mean, cov_factor=c.cov_factor)
-                    for c in m.model.classes)))
-            for m in model.members)
+        # scaling every prior by 3.7 shifts every log prior by log 3.7
         scaled = rpe.RpeModel(config=model.config, p=model.p,
                               class_labels=model.class_labels,
-                              members=scaled_members)
+                              priors=model.priors * 3.7, members=model.members)
         z = np.random.default_rng(12).standard_normal(5)
         s0 = rpe.rpe_scores(model, z)
         s1 = rpe.rpe_scores(scaled, z)
@@ -210,15 +195,24 @@ class TestScores:
     def test_single_member_reduces_to_member_qda(self):
         data = two_class_data(np.random.default_rng(14))
         model = rpe.rpe_fit(data, rpe.RpeConfig(B=1, d=3, master_seed=21))
-        member = model.members[0]
+        matrix = model.members.matrices[0]
+        member = qda.fit(Dataset(project(matrix, data.features), data.labels))
         z = np.random.default_rng(15).standard_normal(5)
-        direct = qda.classify(member.model, project(member.matrix, z))
+        direct = qda.classify(member, project(matrix, z))
         assert rpe.rpe_classify(model, z) == direct
 
 
-def _unit_factor():
-    from rpeqda.linalg import cholesky
-    return cholesky(np.eye(1))
+def with_members(model, order):
+    """The model with its members replaced by members ``order`` (indices
+    into the stack, repeats allowed)."""
+    stack = model.members
+    order = list(order)
+    return rpe.RpeModel(
+        config=model.config, p=model.p, class_labels=model.class_labels,
+        priors=model.priors,
+        members=rpe.MemberStack(
+            matrices=tuple(stack.matrices[i] for i in order), means=stack.means[order],
+            lower=stack.lower[order], log_det=stack.log_det[order]))
 
 
 class TestFullDimensionEquivalence:
@@ -256,18 +250,16 @@ class TestIndependentMemberOracle:
         model = rpe.rpe_fit(data, rpe.RpeConfig(B=20, d=4, master_seed=3))
         z = rng.standard_normal((60, 30)) + 0.7
         from rpeqda.randproj import project_many
-        members = [m.matrix for m in model.members]
-        proj_test = project_many(members, z)
-        proj_train = project_many(members, data.features)
+        matrices = model.members.matrices
+        proj_train = project_many(matrices, data.features)
+        proj_test = project_many(matrices, z)
         y = np.array([0] * 40 + [1] * 40)
-        ours = np.zeros((60, 2))
         theirs = np.zeros((60, 2))
-        for i, member in enumerate(model.members):
-            ours += qda.class_scores_rows(member.model, proj_test[i])
+        for i in range(len(matrices)):
             fitted = sklearn_qda.QuadraticDiscriminantAnalysis(
                 store_covariance=False, tol=0.0).fit(proj_train[i], y)
             theirs += fitted.predict_log_proba(proj_test[i])
-        np.testing.assert_array_equal(np.argmax(ours, axis=1),
+        np.testing.assert_array_equal(np.argmax(rpe.rpe_scores_rows(model, z), axis=1),
                                       np.argmax(theirs, axis=1))
 
 
@@ -294,7 +286,8 @@ class TestPopulationMode:
             for matrix, log_det in zip(stack.matrices, stack.log_det):
                 gap = log_det[1] - log_det[0]
                 assert gap == pytest.approx(6 * math.log(2.0), rel=1e-10)
-                want = np.linalg.slogdet(matrix @ dense_cov @ matrix.T)[1]
+                r = matrix.to_dense()
+                want = np.linalg.slogdet(r @ dense_cov @ r.T)[1]
                 assert log_det[0] == pytest.approx(want, rel=1e-8)
                 members += 1
         assert members == 4
@@ -342,7 +335,7 @@ def random_populations(rng, p, priors=(0.4, 0.6)):
 
 class TestPopulationStacks:
     def _set_chunk(self, monkeypatch, members, d, p, populations, rows):
-        member_bytes = 8 * d * (p + len(populations) * rows)
+        member_bytes = 8 * d * (2 * p + len(populations) * rows)
         monkeypatch.setattr(rpe, "POPULATION_CHUNK_BYTES", members * member_bytes)
 
     @pytest.mark.parametrize("B, d, p, chunk", [
@@ -357,7 +350,7 @@ class TestPopulationStacks:
         config = rpe.RpeConfig(B=B, d=d, master_seed=5 + B, ridge=0.25 * (B % 2))
         self._set_chunk(monkeypatch, chunk, d, p, pops, len(z_rows))
         stacks = list(rpe.population_stacks(pops, p, config, rows=len(z_rows)))
-        assert [len(s.seeds) for s in stacks] == [
+        assert [len(s) for s in stacks] == [
             min(chunk, B - first) for first in range(0, B, chunk)]
         got = rpe.population_rpe_scores(pops, p, config, z_rows)
         want = oracle_population_scores(pops, p, config, z_rows)
@@ -390,8 +383,8 @@ class TestPopulationStacks:
         z_rows = rng.standard_normal((8, 6))
         config = rpe.RpeConfig(B=12, d=3, family=STP, master_seed=4)
         self._set_chunk(monkeypatch, 5, 3, 6, pops, len(z_rows))
-        seeds = [seed for stack in rpe.population_stacks(pops, 6, config, rows=8)
-                 for seed in stack.seeds]
+        seeds = [matrix.seed for stack in rpe.population_stacks(pops, 6, config, rows=8)
+                 for matrix in stack.matrices]
         redrawn = [b for b, seed in enumerate(seeds, start=1)
                    if seed != rpe.member_seed(4, b)]
         assert redrawn == [3, 8, 10]

@@ -3,19 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from rpeqda import schemes
+from rpeqda import linalg, schemes
 from rpeqda.covariance import DenseCovariance
-from rpeqda.errors import DimensionTooSmall
+from rpeqda.errors import DimensionTooSmall, RpeQdaError, UnknownScheme
 from rpeqda.rng import stream
 from rpeqda.schemes import (
     build_example2,
     build_scheme,
     kl_divergence,
-    kl_divergence_dense,
     kl_summary,
     sample,
     sample_dataset,
 )
+
+
+def kl_divergence_dense(a, b) -> float:
+    """Dense KL oracle for two populations: materialize both covariances
+    and use Cholesky factors; the cross-check for the structured oracle at
+    p <= 2048."""
+    dense_a, dense_b = a.cov.dense(), b.cov.dense()
+    factor_a = linalg.cholesky(dense_a)
+    factor_b = linalg.cholesky(dense_b)
+    half = np.linalg.solve(factor_a.lower, dense_b)
+    trace_term = float(np.trace(np.linalg.solve(factor_a.lower, half.T)))
+    quad = linalg.solve_quadratic_form(factor_a, a.mean - b.mean)
+    return 0.5 * (trace_term + quad - dense_a.shape[0] + factor_a.log_det - factor_b.log_det)
 
 
 class TestBuildScheme:
@@ -59,8 +71,9 @@ class TestBuildScheme:
             build_scheme("s1", 4)
 
     def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownScheme) as err:
             build_scheme("s9", 512)
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
 
     def test_priors_are_half(self):
         for sid in ("s1", "s2", "s3", "s4"):
