@@ -4,7 +4,7 @@ Library surface:
 
 * :mod:`rpeqda.linalg`     dense kernels (Cholesky, quadratic forms, QR)
 * :mod:`rpeqda.randproj`   seeded Gaussian / sparse three-point projections
-* :mod:`rpeqda.qda`        Gaussian class models and the QDA classifier
+* :mod:`rpeqda.qda`        array-form QDA, shared by every ensemble member
 * :mod:`rpeqda.rpe`        the projection-ensemble classifier (+ population mode)
 * :mod:`rpeqda.schemes`    synthetic benchmark populations and KL oracles
 * :mod:`rpeqda.evaluate`   benchmark/LOOCV harness and diagnostics

@@ -14,13 +14,19 @@ import sys
 import numpy as np
 
 from . import csvio, evaluate, figures, qda, rpe, schemes, serialize
-from .dataset import Dataset
 from .errors import RpeQdaError
 from .randproj import ProjectionFamily, generate, project
 
 
 def _family(value: str) -> ProjectionFamily:
     return ProjectionFamily(value)
+
+
+def _count(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {count}")
+    return count
 
 
 def _add_data_flags(parser):
@@ -32,7 +38,7 @@ def _add_data_flags(parser):
 
 
 def _add_rpe_flags(parser):
-    parser.add_argument("--B", type=int, default=rpe.DEFAULT_ENSEMBLE_SIZE,
+    parser.add_argument("--B", type=_count, default=rpe.DEFAULT_ENSEMBLE_SIZE,
                         help="ensemble size (default 200)")
     parser.add_argument("--d", type=int, default=None,
                         help="reduced dimension (default min(n_min-1, ceil(log p), 10))")
@@ -181,9 +187,10 @@ def cmd_viz2d(args) -> int:
                             has_header=not args.no_header)
     matrix = generate(args.family, 2, data.p, args.seed)
     projected = project(matrix, data.features)
-    plane = Dataset(projected, data.labels)
-    model = qda.fit(plane, ridge=args.ridge)
-    first, second = model.labels[0], model.labels[1]
+    labels = data.class_labels
+    model = qda.fit_grouped([(label, projected[data.class_indices(label)])
+                             for label in labels], ridge=args.ridge)
+    first, second = labels[0], labels[1]
 
     lo = projected.min(axis=0)
     hi = projected.max(axis=0)
@@ -195,20 +202,20 @@ def cmd_viz2d(args) -> int:
         handle.write(f"# {serialize.tool_version()} "
                      f"{serialize.canonical_json(run_config)}\n")
         handle.write("kind,x,y,label,pred,score_diff\n")
-        scores = qda.class_scores_rows(model, projected)
+        scores = qda.class_scores_rows(*model, projected)
         for (x, y), label, row in zip(projected, data.labels, scores):
-            pred = model.labels[int(np.argmax(row))]
+            pred = labels[int(np.argmax(row))]
             diff = row[0] - row[1]
             handle.write(f"point,{x:.17g},{y:.17g},{label},{pred},{diff:.17g}\n")
         # grid points row by row: x varies fastest
         grid = np.column_stack([np.tile(grid_x, args.grid), np.repeat(grid_y, args.grid)])
-        for (x, y), row in zip(grid, qda.class_scores_rows(model, grid)):
-            pred = model.labels[int(np.argmax(row))]
+        for (x, y), row in zip(grid, qda.class_scores_rows(*model, grid)):
+            pred = labels[int(np.argmax(row))]
             diff = row[0] - row[1]
             grid_cells.append((x, y, pred))
             handle.write(f"grid,{x:.17g},{y:.17g},,{pred},{diff:.17g}\n")
     if args.svg:
-        figures.svg_scatter(projected, data.labels, model.labels, grid_cells,
+        figures.svg_scatter(projected, data.labels, labels, grid_cells,
                             args.svg, title=f"2-d projection (boundary {first} vs {second})",
                             comment=serialize.canonical_json(run_config))
     print(f"wrote projected points and {args.grid}x{args.grid} grid to {args.out}")
@@ -227,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="export samples from a synthetic scheme")
     sim.add_argument("--scheme", required=True,
                      choices=list(schemes.SCHEME_IDS))
-    sim.add_argument("--p", type=int, required=True)
-    sim.add_argument("--n-per-class", type=int, default=100)
+    sim.add_argument("--p", type=_count, required=True)
+    sim.add_argument("--n-per-class", type=_count, default=100)
     sim.add_argument("--data-seed", type=int, default=0)
     sim.add_argument("--structure-seed", type=int, default=0)
     sim.add_argument("--c", type=float, default=2.0, help="example2 scale factor")
@@ -239,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="replicated misclassification benchmark")
     bench.add_argument("--scheme", required=True, choices=["s1", "s2", "s3", "s4"])
-    bench.add_argument("--p", type=int, default=512)
-    bench.add_argument("--p-list", type=int, nargs="+", default=None)
-    bench.add_argument("--reps", type=int, default=50)
-    bench.add_argument("--n-train", type=int, default=100,
+    bench.add_argument("--p", type=_count, default=512)
+    bench.add_argument("--p-list", type=_count, nargs="+", default=None)
+    bench.add_argument("--reps", type=_count, default=50)
+    bench.add_argument("--n-train", type=_count, default=100,
                        help="training samples per class")
-    bench.add_argument("--n-test", type=int, default=200,
+    bench.add_argument("--n-test", type=_count, default=200,
                        help="test samples per class")
     bench.add_argument("--data-seed", type=int, default=0)
     bench.add_argument("--structure-seed", type=int, default=None)
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=ProjectionFamily.STANDARD_NORMAL,
                      choices=list(ProjectionFamily), metavar="{sn,stp}")
     viz.add_argument("--ridge", type=float, default=0.0)
-    viz.add_argument("--grid", type=int, default=25, help="grid points per axis")
+    viz.add_argument("--grid", type=_count, default=25, help="grid points per axis")
     viz.add_argument("--out", required=True)
     viz.add_argument("--svg", default=None)
     viz.set_defaults(func=cmd_viz2d)

@@ -22,7 +22,7 @@ from scipy.linalg import cho_solve
 from scipy.signal import lfilter
 
 from . import linalg
-from .errors import InvalidCovariance
+from .errors import DimensionMismatch, InvalidCovariance, InvalidParameter
 
 # Generic trace products fall back to an O(p^2) column sweep; cap the size
 # so accidental huge inputs fail fast instead of thrashing.
@@ -62,15 +62,15 @@ class DenseCovariance:
 
     def solve(self, v):
         cols, vec = _as_columns(v)
-        out = cho_solve((self._chol().lower, True), cols, check_finite=False)
+        out = cho_solve((self._chol()[0], True), cols, check_finite=False)
         return _restore(out, vec)
 
     def log_det(self):
-        return self._chol().log_det
+        return self._chol()[1]
 
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.p))
-        return z @ self._chol().lower.T
+        return z @ self._chol()[0].T
 
     def dense(self):
         return self.matrix.copy()
@@ -412,14 +412,14 @@ def trace_solve_product(a, b, chunk=256):
     p <= DENSE_FALLBACK_LIMIT to bound its O(p^2) cost.
     """
     if a.p != b.p:
-        raise ValueError(f"dimension mismatch: {a.p} vs {b.p}")
+        raise DimensionMismatch(f"dimension mismatch: {a.p} vs {b.p}")
     base_a, scale_a = _unwrap_scale(a)
     base_b, scale_b = _unwrap_scale(b)
     if base_a is base_b:
         return base_a.p * scale_b / scale_a
     p = a.p
     if p > DENSE_FALLBACK_LIMIT:
-        raise ValueError(
+        raise InvalidParameter(
             f"generic trace product limited to p <= {DENSE_FALLBACK_LIMIT}, got {p}")
     total = 0.0
     for lo in range(0, p, chunk):

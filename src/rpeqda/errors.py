@@ -10,7 +10,7 @@ class RpeQdaError(Exception):
     """Base class for all rpeqda errors."""
 
 
-class DimensionMismatch(RpeQdaError):
+class DimensionMismatch(RpeQdaError, ValueError):
     """Operand shapes are incompatible."""
 
 
@@ -34,16 +34,16 @@ class InvalidCovariance(RpeQdaError, ValueError):
     """Covariance handle parameters are out of range or inconsistent."""
 
 
+class InvalidParameter(RpeQdaError, ValueError):
+    """A scalar argument lies outside the range its operation supports."""
+
+
 class NotPositiveDefinite(RpeQdaError):
     """A matrix required to be positive definite is singular or indefinite."""
 
 
 class RankDeficient(RpeQdaError):
     """A matrix required to have full rank does not."""
-
-
-class TooFewSamples(RpeQdaError):
-    """Fewer samples than the estimator requires."""
 
 
 class InvalidDimensions(RpeQdaError):

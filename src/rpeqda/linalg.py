@@ -8,22 +8,14 @@ wrapped with the tolerance and error semantics this package requires.
 No inverse is ever materialized: every quadratic form and determinant goes
 through a Cholesky factor.  Stacks of small factors (one per ensemble member
 and class) are built by :func:`cholesky_stack` in one LAPACK call, and their
-quadratic forms come from :func:`forward_sq_norms`, a forward substitution
-written in NumPy that runs over all factors at once instead of making one
-LAPACK triangular solve per factor.
+quadratic forms come from :func:`solve_quadratic_form_rows`, a forward
+substitution written in NumPy that runs over all factors at once instead of
+making one LAPACK triangular solve per factor.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    RankDeficient,
-    TooFewSamples,
-)
+from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
 
 # A Cholesky pivot at or below PIVOT_RTOL * max(diag) is treated as rank
 # deficiency rather than roundoff, so fits on degenerate projected
@@ -33,20 +25,7 @@ PIVOT_RTOL = 1e-12
 QR_RANK_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular Cholesky factor together with the log-determinant
-    of the factored matrix (``log_det = 2 * sum(log(diag(lower)))``)."""
-
-    lower: np.ndarray
-    log_det: float
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-
-def cholesky(s: np.ndarray) -> CholeskyFactor:
+def cholesky(s: np.ndarray):
     """Factor a symmetric positive-definite matrix as ``L @ L.T``.
 
     Parameters
@@ -56,7 +35,8 @@ def cholesky(s: np.ndarray) -> CholeskyFactor:
 
     Returns
     -------
-    CholeskyFactor
+    (lower, log_det)
+        The lower-triangular factor and ``log det(s)`` as a float.
 
     Raises
     ------
@@ -75,7 +55,7 @@ def cholesky(s: np.ndarray) -> CholeskyFactor:
         raise NotPositiveDefinite(
             f"pivot {float(np.min(pivots)):.3e} at or below tolerance "
             f"{_pivot_tolerance(s):.3e}")
-    return CholeskyFactor(lower=lower, log_det=float(log_det))
+    return lower, float(log_det)
 
 
 def _pivot_tolerance(s):
@@ -108,45 +88,26 @@ def cholesky_stack(s: np.ndarray):
     return lower, log_det, ok
 
 
-def solve_quadratic_form(factor: CholeskyFactor, v: np.ndarray) -> float:
-    """Return ``v.T @ S^{-1} @ v`` for the matrix factored in ``factor``.
-
-    Computed as ``||L^{-1} v||^2`` via one triangular solve, hence always
-    nonnegative.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (factor.dim,):
-        raise DimensionMismatch(
-            f"vector of length {v.shape} against factor of dim {factor.dim}")
-    y = solve_triangular(factor.lower, v, lower=True, check_finite=False)
-    return float(y @ y)
-
-
-def solve_quadratic_form_rows(factor: CholeskyFactor, rows: np.ndarray) -> np.ndarray:
-    """Vectorized ``solve_quadratic_form`` over the rows of an (m, dim) array."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != factor.dim:
-        raise DimensionMismatch(
-            f"rows of shape {rows.shape} against factor of dim {factor.dim}")
-    return forward_sq_norms(factor.lower, rows.T)
-
-
-def forward_sq_norms(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared column norms of ``L^{-1} b`` for a stack of factors.
+def solve_quadratic_form_rows(lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Quadratic forms ``v' S^{-1} v`` of every row v, for a stack of
+    factors ``S = L L'``.
 
     ``lower`` is (..., dim, dim), lower triangular with a positive
-    diagonal, and ``b`` is (..., dim, n); their leading dimensions
-    broadcast.  Returns (..., n).  ``L^{-1} b`` is found by forward
-    substitution, one row of the solution per step, for every factor and
-    column at once, so the cost in Python calls is ``dim`` steps however
-    many factors the stack holds.
+    diagonal, and ``rows`` is (..., n, dim); their leading dimensions
+    broadcast.  Returns (..., n), always nonnegative.  ``L^{-1} v`` is
+    found by forward substitution, one component per step, for every
+    factor and row at once, so the cost in Python calls is ``dim`` steps
+    however many factors the stack holds.  The steps read the rows one
+    component at a time, so rows passed as the transpose of a
+    (..., dim, n) array are read contiguously.
     """
     lower = np.asarray(lower, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
     dim = lower.shape[-1]
-    if lower.shape[-2] != dim or b.ndim < 2 or b.shape[-2] != dim:
+    if lower.shape[-2] != dim or rows.ndim < 2 or rows.shape[-1] != dim:
         raise DimensionMismatch(
-            f"right-hand sides of shape {b.shape} against factors of shape {lower.shape}")
+            f"rows of shape {rows.shape} against factors of shape {lower.shape}")
+    b = np.swapaxes(rows, -1, -2)
     y = np.empty(np.broadcast_shapes(lower.shape[:-2], b.shape[:-2]) + b.shape[-2:])
     for i in range(dim):
         row = b[..., i, :]
@@ -190,18 +151,3 @@ def orthonormal_columns(a: np.ndarray) -> np.ndarray:
     if np.any(np.abs(rdiag) < QR_RANK_RTOL * np.linalg.norm(a)):
         raise RankDeficient("matrix is numerically rank deficient")
     return q * np.sign(rdiag)
-
-
-def sample_covariance(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Sample covariance with the n - 1 denominator around a given mean.
-
-    Symmetric by construction (the cross-product is symmetrized to remove
-    floating-point asymmetry).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if n < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {n}")
-    centered = x - np.asarray(mean, dtype=np.float64)
-    cov = centered.T @ centered / (n - 1)
-    return (cov + cov.T) / 2.0

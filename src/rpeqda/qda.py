@@ -1,4 +1,11 @@
-"""Gaussian class models and the quadratic discriminant classifier.
+"""Quadratic discriminant analysis in array form.
+
+A J-class Gaussian model in dimension d is four arrays, the ones each
+member of the projection ensemble holds (``rpe.MemberStack``): priors
+(J,), class means (..., J, d), lower Cholesky factors of the class
+covariances (..., J, d, d) and their log-determinants (..., J).  Leading
+axes stack models, so the ensemble estimates, factors and scores every
+member with the same functions as a single QDA.
 
 Per-class score (up to the additive constant -dim/2 * log(2 pi), which is
 identical across classes and therefore dropped):
@@ -13,124 +20,93 @@ of the winner to be positive.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .dataset import Dataset
 from .errors import (
     DimensionMismatch,
-    NotPositiveDefinite,
+    InvalidParameter,
     SingularCovariance,
     TooFewClasses,
     TooFewSamplesForClass,
 )
-
-PRIOR_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GaussianClassModel:
-    """Prior, mean and factored covariance of one class."""
-
-    label: str
-    prior: float
-    log_prior: float
-    mean: np.ndarray
-    cov_factor: linalg.CholeskyFactor
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
+from .linalg import cholesky_stack, solve_quadratic_form_rows
 
 
-@dataclass(frozen=True)
-class QdaModel:
-    """Ordered collection of per-class Gaussian models."""
+def class_moments(groups):
+    """Class means (..., J, d) and covariances (..., J, d, d) of the J row
+    blocks, of shapes (..., n_k, d), that ``groups`` yields.
 
-    classes: tuple
+    ``groups`` is read once, so a generator keeps one block alive at a
+    time.  Covariances use the n_k - 1 denominator and are symmetric
+    exactly (the cross-product is symmetrized to remove floating-point
+    asymmetry).
+    """
+    means, covs = [], []
+    for rows in groups:
+        mean = rows.mean(axis=-2)
+        centered = rows - mean[..., None, :]
+        cov = np.swapaxes(centered, -1, -2) @ centered / (rows.shape[-2] - 1)
+        means.append(mean)
+        covs.append((cov + np.swapaxes(cov, -1, -2)) / 2.0)
+    return np.stack(means, axis=-2), np.stack(covs, axis=-3)
 
-    @property
-    def labels(self) -> tuple:
-        return tuple(c.label for c in self.classes)
 
-    @property
-    def dim(self) -> int:
-        return self.classes[0].dim
+def factor_covariances(covs: np.ndarray, ridge: float):
+    """``linalg.cholesky_stack`` of the class covariances plus ``ridge * I``.
 
-
-def _fit_class(label, rows: np.ndarray, n_total: int, ridge: float) -> GaussianClassModel:
-    n_k, dim = rows.shape
-    if n_k <= dim:
-        raise TooFewSamplesForClass(
-            label, f"class {label!r}: {n_k} samples in dimension {dim} "
-                   f"(need at least {dim + 1})")
-    mean = rows.mean(axis=0)
-    cov = linalg.sample_covariance(rows, mean)
+    The ridge must be finite and nonnegative; 0 keeps the plain
+    estimators.  Raises ``InvalidParameter`` otherwise.
+    """
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise InvalidParameter(f"ridge must be finite and nonnegative, got {ridge!r}")
     if ridge > 0.0:
-        cov = cov + ridge * np.eye(dim)
-    try:
-        factor = linalg.cholesky(cov)
-    except NotPositiveDefinite as exc:
-        raise SingularCovariance(
-            label, f"class {label!r}: singular covariance ({exc})") from exc
-    prior = n_k / n_total
-    return GaussianClassModel(
-        label=str(label), prior=prior, log_prior=math.log(prior),
-        mean=mean, cov_factor=factor)
+        covs = covs + ridge * np.eye(covs.shape[-1])
+    return cholesky_stack(covs)
 
 
-def fit_grouped(groups, n_total: int, ridge: float = 0.0) -> QdaModel:
-    """Fit from pre-grouped (label, rows) pairs."""
+def fit_grouped(groups, ridge: float = 0.0):
+    """Fit a QDA from (label, rows) pairs, each rows block (n_k, d).
+
+    Returns ``(priors, means, lower, log_det)``: priors n_k / n, class
+    means, and the factored class covariances (n_k - 1 denominator, plus
+    the optional ``ridge * I``).
+    """
     if len(groups) < 2:
         raise TooFewClasses("QDA needs at least 2 classes")
-    classes = tuple(_fit_class(label, rows, n_total, ridge)
-                    for label, rows in groups)
-    assert abs(sum(c.prior for c in classes) - 1.0) <= PRIOR_SUM_TOL
-    return QdaModel(classes=classes)
+    blocks = [np.asarray(rows, dtype=np.float64) for _, rows in groups]
+    for (label, _), rows in zip(groups, blocks):
+        n_k, dim = rows.shape
+        if n_k <= dim:
+            raise TooFewSamplesForClass(
+                label, f"class {label!r}: {n_k} samples in dimension {dim} "
+                       f"(need at least {dim + 1})")
+    means, covs = class_moments(blocks)
+    lower, log_det, ok = factor_covariances(covs, ridge)
+    if not ok.all():
+        label = groups[int(np.argmin(ok))][0]
+        raise SingularCovariance(label, f"class {label!r}: singular covariance")
+    n = sum(len(rows) for rows in blocks)
+    return np.array([len(rows) / n for rows in blocks]), means, lower, log_det
 
 
-def fit(data: Dataset, ridge: float = 0.0) -> QdaModel:
-    """Estimate priors (n_k / n), class means and class covariances
-    (n_k - 1 denominator) and factor each covariance.
+def class_scores_rows(priors, means, lower, log_det, rows) -> np.ndarray:
+    """Class scores g_k, shape (..., n, J), of rows (..., n, d).
 
-    ``ridge`` adds an optional eps * I to each covariance before
-    factorization; the default 0 keeps the plain estimators.
+    The leading axes of the model arrays and of ``rows`` broadcast, so a
+    stack of models scores its own rows in one call.
     """
-    groups = [(label, data.features[data.class_indices(label)])
-              for label in data.class_labels]
-    return fit_grouped(groups, data.n, ridge)
-
-
-def class_scores(model: QdaModel, z: np.ndarray) -> np.ndarray:
-    """Vector of per-class scores (g_1, ..., g_J) at a single point."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (model.dim,):
-        raise DimensionMismatch(
-            f"point of shape {z.shape} against model of dim {model.dim}")
-    return np.array([
-        c.log_prior - 0.5 * c.cov_factor.log_det
-        - 0.5 * linalg.solve_quadratic_form(c.cov_factor, z - c.mean)
-        for c in model.classes])
-
-
-def class_scores_rows(model: QdaModel, rows: np.ndarray) -> np.ndarray:
-    """Scores for every row of an (m, dim) array; returns shape (m, J)."""
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != model.dim:
+    if rows.ndim < 2 or rows.shape[-1] != means.shape[-1]:
         raise DimensionMismatch(
-            f"rows of shape {rows.shape} against model of dim {model.dim}")
-    out = np.empty((rows.shape[0], len(model.classes)))
-    for j, c in enumerate(model.classes):
-        qf = linalg.solve_quadratic_form_rows(c.cov_factor, rows - c.mean)
-        out[:, j] = c.log_prior - 0.5 * c.cov_factor.log_det - 0.5 * qf
-    return out
-
-
-def classify(model: QdaModel, z: np.ndarray) -> str:
-    """Label of the highest-scoring class (earliest label wins ties)."""
-    return model.labels[int(np.argmax(class_scores(model, z)))]
+            f"rows of shape {rows.shape} against models of dim {means.shape[-1]}")
+    # math.log, as for the log priors that model files store
+    log_priors = np.array([math.log(prior) for prior in priors])
+    # centred rows are built as (..., J, d, n), which the kernel reads
+    # contiguously
+    centered = np.swapaxes(rows, -1, -2)[..., None, :, :] - means[..., None]
+    qf = solve_quadratic_form_rows(lower, np.swapaxes(centered, -1, -2))
+    return np.swapaxes((log_priors - 0.5 * log_det)[..., None] - 0.5 * qf, -1, -2)
 
 
 def population_class_scores(populations, z_rows: np.ndarray) -> np.ndarray:

@@ -8,11 +8,13 @@ the averaged scores.
 
 The ensemble is held as one :class:`MemberStack`: the B matrices plus the
 stacked projected class means (B, J, d), Cholesky factors (B, J, d, d) and
-log-determinants (B, J).  Sample fit, population fit, scoring and model
-files all use this one representation.  Fitting computes every member's
-class moments at once, factors them with one batched Cholesky and redraws
-only the members that fail; scoring projects the rows through all matrices
-at once and whitens them with one batched forward substitution.
+log-determinants (B, J); with the class priors (J,), member b is the
+array-form QDA of :mod:`rpeqda.qda` at index b.  Sample fit, population
+fit, scoring and model files all use this one representation.  Fitting
+computes every member's class moments at once (``qda.class_moments`` in
+sample mode), factors them with one batched Cholesky and redraws only the
+members that fail; scoring projects the rows through all matrices at once
+and scores every member with one ``qda.class_scores_rows`` call.
 
 Member b's matrix is generated from the derived seed mix(master_seed, b)
 (b = 1..B), so fitting and scoring are independent of processing order.
@@ -45,7 +47,7 @@ from .errors import (
     ReducedDimTooLarge,
     TooFewClasses,
 )
-from .linalg import cholesky_stack, forward_sq_norms
+from .qda import class_moments, class_scores_rows, factor_covariances
 from .randproj import ProjectionFamily, generate, project_many
 from .rng import mix
 
@@ -143,23 +145,20 @@ def _fit_stack(config: RpeConfig, p: int, members, moments) -> MemberStack:
 
     ``moments(matrices)`` returns the projected class means (m, J, d) and
     covariances (m, J, d, d) of a list of m matrices.  Every member's
-    covariances are factored in one ``cholesky_stack`` call; only the
+    covariances are factored in one ``qda.factor_covariances`` call; only the
     members with a class that fails to factor redraw, from
     ``member_seed(master_seed, b, attempt)``, and the first member (in
     member order) still failing after ``max_regen_retries`` redraws raises
     ``MemberDegenerate``.
     """
-    d = config.d
     matrices = [None] * len(members)
     todo = np.arange(len(members))
     for attempt in range(config.max_regen_retries + 1):
         for i in todo:
-            matrices[i] = generate(config.family, d, p,
+            matrices[i] = generate(config.family, config.d, p,
                                    member_seed(config.master_seed, members[i], attempt))
         drawn_means, covs = moments([matrices[i] for i in todo])
-        if config.ridge > 0.0:
-            covs = covs + config.ridge * np.eye(d)
-        drawn_lower, drawn_log_det, ok = cholesky_stack(covs)
+        drawn_lower, drawn_log_det, ok = factor_covariances(covs, config.ridge)
         if attempt == 0:
             means, lower, log_det = drawn_means, drawn_lower, drawn_log_det
         else:
@@ -173,16 +172,14 @@ def _fit_stack(config: RpeConfig, p: int, members, moments) -> MemberStack:
            f"after {config.max_regen_retries} redraws")
 
 
-def _accumulate_scores(acc: np.ndarray, stack: MemberStack, log_priors: np.ndarray,
+def _accumulate_scores(acc: np.ndarray, stack: MemberStack, priors,
                        z_rows: np.ndarray) -> None:
     """Add every member's (n, J) class scores of ``z_rows`` to ``acc``, in
     member order, so the sum does not depend on how members are chunked."""
-    projected = project_many(stack.matrices, z_rows).transpose(0, 2, 1)
-    centered = projected[:, None] - stack.means[..., None]
-    scores = ((log_priors - 0.5 * stack.log_det)[..., None]
-              - 0.5 * forward_sq_norms(stack.lower, centered))
-    for member_scores in scores:
-        acc += member_scores.T
+    projected = project_many(stack.matrices, z_rows)
+    for member_scores in class_scores_rows(priors, stack.means, stack.lower,
+                                           stack.log_det, projected):
+        acc += member_scores
 
 
 def rpe_fit(data: Dataset, config: RpeConfig) -> RpeModel:
@@ -209,15 +206,7 @@ def rpe_fit(data: Dataset, config: RpeConfig) -> RpeModel:
 
     def moments(matrices):
         projected = project_many(matrices, data.features)
-        means, covs = [], []
-        for idx in class_idx:
-            rows = projected[:, idx]
-            mean = rows.mean(axis=1)
-            centered = rows - mean[:, None]
-            cov = centered.transpose(0, 2, 1) @ centered / (len(idx) - 1)
-            means.append(mean)
-            covs.append((cov + cov.transpose(0, 2, 1)) / 2.0)
-        return np.stack(means, axis=1), np.stack(covs, axis=1)
+        return class_moments(projected[:, idx] for idx in class_idx)
 
     members = _fit_stack(resolved, data.p, range(1, config.B + 1), moments)
     priors = np.array([len(idx) / data.n for idx in class_idx])
@@ -236,10 +225,8 @@ def rpe_scores_rows(model: RpeModel, z_rows: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"rows of shape {z_rows.shape} against model with p={model.p}")
     _require_finite(z_rows, "rows to score")
-    # math.log, as for the log priors that model files store
-    log_priors = np.array([math.log(prior) for prior in model.priors])
     acc = np.zeros((z_rows.shape[0], len(model.class_labels)))
-    _accumulate_scores(acc, model.members, log_priors, z_rows)
+    _accumulate_scores(acc, model.members, model.priors, z_rows)
     return acc / len(model.members)
 
 
@@ -312,9 +299,9 @@ def population_rpe_scores(populations, p: int, config: RpeConfig,
         raise DimensionMismatch(
             f"rows of shape {z_rows.shape} against populations with p={p}")
     _require_finite(z_rows, "rows to score")
-    log_priors = np.array([math.log(prior) for prior, _, _ in populations])
+    priors = [prior for prior, _, _ in populations]
     acc = np.zeros((z_rows.shape[0], len(populations)))
     for stack in population_stacks(populations, p, config, rows=z_rows.shape[0]):
-        _accumulate_scores(acc, stack, log_priors, z_rows)
+        _accumulate_scores(acc, stack, priors, z_rows)
     acc /= config.B
     return acc[0] if single else acc

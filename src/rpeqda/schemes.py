@@ -29,7 +29,13 @@ from .covariance import (
     trace_solve_product,
 )
 from .dataset import Dataset
-from .errors import DimensionTooSmall, UnknownScheme
+from .errors import (
+    DimensionMismatch,
+    DimensionTooSmall,
+    InvalidCovariance,
+    InvalidParameter,
+    UnknownScheme,
+)
 from .linalg import orthonormal_columns, qr_orthogonal
 from .rng import mix, stream
 
@@ -176,9 +182,9 @@ def build_example2(p: int, c: float, r: int, spike_bound: float = 10.0,
     if not 0 <= r <= p:
         raise DimensionTooSmall(f"need 0 <= r <= p, got r={r}, p={p}")
     if c <= 0 or c == 1.0:
-        raise ValueError(f"scale factor must be positive and != 1, got {c}")
+        raise InvalidCovariance(f"scale factor must be positive and != 1, got {c}")
     if r > 0 and spike_bound <= 1.0:
-        raise ValueError(f"spike bound must exceed 1, got {spike_bound}")
+        raise InvalidCovariance(f"spike bound must exceed 1, got {spike_bound}")
     rng = stream(seed)
     basis = orthonormal_columns(rng.standard_normal((p, r)))
     gamma = rng.uniform(1.0, spike_bound, size=r)
@@ -193,7 +199,7 @@ def build_example2(p: int, c: float, r: int, spike_bound: float = 10.0,
 def sample(spec: SchemeSpec, class_index: int, n: int, seed: int) -> np.ndarray:
     """n i.i.d. rows from class 1 or 2 of the scheme, deterministic in seed."""
     if class_index not in (1, 2):
-        raise ValueError(f"class index must be 1 or 2, got {class_index}")
+        raise InvalidParameter(f"class index must be 1 or 2, got {class_index}")
     pop = spec.populations[class_index - 1]
     return pop.cov.sample(n, stream(seed)) + pop.mean
 
@@ -228,7 +234,7 @@ def kl_divergence(a, b) -> float:
     mean_b, cov_b = _params(b)
     p = cov_a.p
     if cov_b.p != p or mean_a.shape != (p,) or mean_b.shape != (p,):
-        raise ValueError("population dimensions differ")
+        raise DimensionMismatch("population dimensions differ")
     dmu = mean_a - mean_b
     quad = float(dmu @ cov_a.solve(dmu)) if dmu.any() else 0.0
     two_kl = (trace_solve_product(cov_a, cov_b) + quad - p

@@ -92,10 +92,11 @@ def equivalence_payload(fresh=False):
         data = Dataset(np.vstack([x0, x1]), ("0",) * 30 + ("1",) * 30)
         z_rows = rng.standard_normal((1000, 5)) * 1.5
 
-        classical = qda.fit(data)
+        classical = qda.fit_grouped([(label, data.features[data.class_indices(label)])
+                                     for label in data.class_labels])
         model = rpe.rpe_fit(data, rpe.RpeConfig(B=1, d=5, master_seed=271828))
         ens = rpe.rpe_scores_rows(model, z_rows)
-        direct = qda.class_scores_rows(classical, z_rows)
+        direct = qda.class_scores_rows(*classical, z_rows)
         sample_diffs = (ens[:, 0] - ens[:, 1]) - (direct[:, 0] - direct[:, 1])
 
         def spd(seed):

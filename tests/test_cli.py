@@ -338,11 +338,12 @@ class TestCommands:
         assert len(rows) == 625
         assert len({r[2] for r in rows[:25]}) == 1 and len({r[1] for r in rows[:25]}) == 25
         matrix = generate(ProjectionFamily.STANDARD_NORMAL, 2, 8, 5)
-        plane = qda.fit(Dataset(project(matrix, csvio.ingest_csv(train_csv).features),
-                                data.labels))
+        projected = project(matrix, csvio.ingest_csv(train_csv).features)
+        plane = qda.fit_grouped([(label, projected[data.class_indices(label)])
+                                 for label in data.class_labels])
         for _, gx, gy, _, pred, diff in rows:
-            want = qda.class_scores(plane, np.array([float(gx), float(gy)]))
-            assert pred == plane.labels[int(np.argmax(want))]
+            want = qda.class_scores_rows(*plane, np.array([[float(gx), float(gy)]]))[0]
+            assert pred == data.class_labels[int(np.argmax(want))]
             assert float(diff) == pytest.approx(want[0] - want[1], rel=1e-12, abs=0)
 
     def test_bench_single_rep(self, tmp_path):
@@ -445,6 +446,32 @@ class TestCommands:
         assert err.startswith("error: ") and "Traceback" not in err
         if corrupt.startswith(("matrix", "factor", "sparse")) or corrupt == "prior_member":
             assert "member 2" in err
+
+    @pytest.mark.parametrize("command", [
+        "viz2d --data {data} --grid -1 --out {out}",
+        "viz2d --data {data} --ridge -5 --out {out}",
+        "bench --scheme s2 --p 64 --reps 0 --out {out}",
+        "simulate --scheme s2 --p 64 --n-per-class -1 --out {out}",
+        "simulate --scheme s1 --p -3 --out {out}",
+        "simulate --scheme example2 --p 64 --c 1 --out {out}",
+        "simulate --scheme example2 --p 64 --r 2 --spike-bound 0.5 --out {out}",
+        "train --data {data} --ridge -1 --out {out}",
+        "train --data {data} --ridge nan --out {out}",
+        "train --data {data} --ridge inf --out {out}",
+    ])
+    def test_bad_arguments_exit_with_error_line(self, tmp_path, capsys, command):
+        data = tmp_path / "train.csv"
+        write_toy_csv(data)
+        argv = command.format(data=data, out=tmp_path / "out").split()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code != 0
+        assert any("error: " in line for line in err.splitlines())
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_parse_error_exits_nonzero_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rpeqda import linalg
-from rpeqda.errors import InvalidCovariance, RpeQdaError
+from rpeqda.errors import DimensionMismatch, InvalidCovariance, InvalidParameter, RpeQdaError
 from rpeqda.covariance import (
     ArProcessCovariance,
     BlockDiagonal,
@@ -120,14 +120,16 @@ class TestTraceSolveProduct:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch) as err:
             trace_solve_product(IdentityCovariance(3), IdentityCovariance(4))
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
 
     def test_limit_enforced(self):
         big = IdentityCovariance(3000)
         other = EquiCorrelation(3000, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter) as err:
             trace_solve_product(big, other)
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
 
     def test_scalar_pair_allowed_beyond_limit(self):
         base = EquiCorrelation(5000, 0.2)

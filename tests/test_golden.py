@@ -3,15 +3,18 @@
 Compact model files store only matrix seeds, and every subseed comes from
 ``rng.mix``, so a change in ``mix``, in numpy's Philox, ziggurat,
 ``binomial`` or ``choice`` streams, or in the model-file layout would
-silently change predictions.  These hashes pin them.
+silently change predictions.  These hashes pin them, and the streams of
+the scheme samplers, so a rewrite of a sampler must keep its draws.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from rpeqda import qda, rpe, serialize
+from rpeqda import qda, rpe, schemes, serialize
 from rpeqda.dataset import Dataset
 from rpeqda.errors import MemberDegenerate, SingularCovariance
 from rpeqda.randproj import ProjectionFamily, generate, project
@@ -25,6 +28,21 @@ GENERATE_SHA256 = {
     STP: "c1f344e9308bc03de7cad2101b466c116baf0c2742016a126ff8afb9d61ade8f",
 }
 MIX_SHA256 = "1b247a10ebc26cb9641232a0f517ba9d21d116c268218e0ae4967eb32f4b7848"
+# schemes.sample() bytes of both classes (5 rows each, seeds 1001 and
+# 1002) at odd p, and at p = 1 where InverseArCovariance (s3) and
+# SpikedIdentity (example2) sample through a special case
+SAMPLE_SHA256 = {
+    ("s1", 97): "0aec2aaa9989eec46dc96140d43ca9eec15989cdebd5d529f5b721b0ca95a2cd",
+    ("s2", 1): "54f0ba939c41cd0f1b613f38396a016e7c93d5e0659fde92cce363f718c60b02",
+    ("s2", 65): "f83afc509925e3e098479cb7268ccad77cb6ed2c01b4eaa22b13d094159a7ed5",
+    ("s3", 1): "83a95b5d38cb6961e99787e4d82c576c3992c439a02b8ea0f46b7cdf92d4f28d",
+    ("s3", 33): "1ca82a46d7a5abecd753b727701d825e028459f8d6207a9c36e12cd6310f644d",
+    ("s4", 63): "ccda715d98c6b897249685ee659181f7ee06494e6180ba1bfcbc4b67c1406f9b",
+    ("example2-r0", 1): "994fdc2a02eb034d426d5d6b738d0e3d379879bcfb81e277b774ffbafe3f2939",
+    ("example2-r0", 31): "085daf0d29211ace7713b3805e8d38b0522a9dcdfdf9a9db54aa5b7c9abd33da",
+    ("example2-r1", 1): "a812a1be94232b12920cbc206b960ca12255bed22b7e12b594cee9556ac0b82a",
+    ("example2-r3", 31): "7c095761bd14bb05097746b37a61786baebbf21df8eed40c8aca250dd88ca040",
+}
 MODEL_SHA256 = {
     "sn-full": "3d2eeec70694653301022ecc54b6027d0dc79da86ad9f9fafd088aabdb8e2391",
     "stp-compact": "1233db6179f668a354c92bfe4f09b815612f314928868a3de95d83344d76baac",
@@ -60,6 +78,17 @@ def test_mix_outputs():
     assert _sha([np.array(values, dtype=np.uint64).tobytes()]) == MIX_SHA256
 
 
+@pytest.mark.parametrize("name, p", list(SAMPLE_SHA256))
+def test_sample_streams(name, p):
+    if name.startswith("example2"):
+        spec = schemes.build_example2(p, c=1.7, r=int(name[-1]), spike_bound=4.0, seed=5)
+    else:
+        spec = schemes.build_scheme(name, p, 3)
+    chunks = [np.ascontiguousarray(schemes.sample(spec, k, 5, 1000 + k)).tobytes()
+              for k in (1, 2)]
+    assert _sha(chunks) == SAMPLE_SHA256[name, p]
+
+
 def _small_data():
     rng = np.random.default_rng(2024)
     x = np.vstack([rng.standard_normal((12, 30)),
@@ -77,6 +106,17 @@ def test_model_file_bytes(tmp_path, name, family, compact):
     assert _sha([path.read_bytes()]) == MODEL_SHA256[name]
 
 
+def oracle_class_scores(model, rows):
+    """Class scores of one QDA, class by class, through LAPACK triangular
+    solves."""
+    priors, means, lower, log_det = model
+    out = np.empty((len(rows), len(priors)))
+    for j, prior in enumerate(priors):
+        y = solve_triangular(lower[j], (rows - means[j]).T, lower=True)
+        out[:, j] = math.log(prior) - 0.5 * log_det[j] - 0.5 * np.sum(y * y, axis=0)
+    return out
+
+
 def oracle_sample_fit(data, config):
     """Member-by-member sample-mode ensemble: each member projects the
     training rows, fits a QDA on them and redraws its matrix while a class
@@ -90,7 +130,7 @@ def oracle_sample_fit(data, config):
             rows = project(matrix, data.features)
             try:
                 model = qda.fit_grouped([(label, rows[idx]) for label, idx in groups_idx],
-                                        data.n, config.ridge)
+                                        config.ridge)
                 break
             except SingularCovariance:
                 continue
@@ -101,7 +141,7 @@ def oracle_sample_fit(data, config):
     def scores(z_rows):
         acc = np.zeros((len(z_rows), len(groups_idx)))
         for matrix, model in members:
-            acc += qda.class_scores_rows(model, project(matrix, z_rows))
+            acc += oracle_class_scores(model, project(matrix, z_rows))
         return acc / len(members)
 
     return [matrix.seed for matrix, _ in members], scores

@@ -5,12 +5,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from rpeqda import linalg
-from rpeqda.errors import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    RankDeficient,
-    TooFewSamples,
-)
+from rpeqda.errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
 
 
 def random_spd(rng, dim, spread=1.0):
@@ -20,16 +15,16 @@ def random_spd(rng, dim, spread=1.0):
 
 class TestCholesky:
     def test_identity(self):
-        factor = linalg.cholesky(np.eye(3))
-        np.testing.assert_array_equal(factor.lower, np.eye(3))
-        assert factor.log_det == 0.0
+        lower, log_det = linalg.cholesky(np.eye(3))
+        np.testing.assert_array_equal(lower, np.eye(3))
+        assert log_det == 0.0
 
     def test_hand_expanded_2x2(self):
         # [[4,2],[2,3]] = L L' with L = [[2,0],[1,sqrt(2)]], det = 8
-        factor = linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        lower, log_det = linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
         expected = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
-        np.testing.assert_allclose(factor.lower, expected, atol=1e-14)
-        assert factor.log_det == pytest.approx(math.log(8.0), abs=1e-12)
+        np.testing.assert_allclose(lower, expected, atol=1e-14)
+        assert log_det == pytest.approx(math.log(8.0), abs=1e-12)
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
@@ -44,8 +39,8 @@ class TestCholesky:
     def test_roundtrip_random_spd(self, dim):
         rng = np.random.default_rng(100 + dim)
         s = random_spd(rng, dim)
-        factor = linalg.cholesky(s)
-        recon = factor.lower @ factor.lower.T
+        lower, _ = linalg.cholesky(s)
+        recon = lower @ lower.T
         scale = np.max(np.abs(s))
         assert np.max(np.abs(recon - s)) <= 1e-10 * scale
 
@@ -53,59 +48,61 @@ class TestCholesky:
     def test_log_det_against_eigen_oracle(self, dim):
         rng = np.random.default_rng(200 + dim)
         s = random_spd(rng, dim)
-        factor = linalg.cholesky(s)
+        _, log_det = linalg.cholesky(s)
         oracle = float(np.sum(np.log(np.linalg.eigvalsh(s))))
-        assert factor.log_det == pytest.approx(oracle, abs=1e-8)
+        assert log_det == pytest.approx(oracle, abs=1e-8)
 
     def test_log_det_invariant_matches_diagonal(self):
         rng = np.random.default_rng(7)
-        factor = linalg.cholesky(random_spd(rng, 6))
-        from_diag = 2.0 * np.sum(np.log(np.diag(factor.lower)))
-        assert abs(factor.log_det - from_diag) <= 1e-12 * abs(from_diag)
+        lower, log_det = linalg.cholesky(random_spd(rng, 6))
+        from_diag = 2.0 * np.sum(np.log(np.diag(lower)))
+        assert abs(log_det - from_diag) <= 1e-12 * abs(from_diag)
+
+
+def quadratic_form(s, v):
+    """``v' s^{-1} v`` of one vector through the stacked kernel."""
+    return float(linalg.solve_quadratic_form_rows(linalg.cholesky(s)[0], v[None, :])[0])
 
 
 class TestSolveQuadraticForm:
     def test_identity_factor(self):
-        factor = linalg.cholesky(np.eye(2))
-        assert linalg.solve_quadratic_form(factor, np.array([3.0, 4.0])) == pytest.approx(25.0)
+        assert quadratic_form(np.eye(2), np.array([3.0, 4.0])) == pytest.approx(25.0)
 
     def test_diagonal_factor(self):
-        factor = linalg.cholesky(np.diag([4.0, 1.0]))
-        assert linalg.solve_quadratic_form(factor, np.array([2.0, 1.0])) == pytest.approx(2.0)
+        assert quadratic_form(np.diag([4.0, 1.0]), np.array([2.0, 1.0])) == pytest.approx(2.0)
 
     def test_zero_vector(self):
-        factor = linalg.cholesky(np.diag([4.0, 1.0]))
-        assert linalg.solve_quadratic_form(factor, np.zeros(2)) == 0.0
+        assert quadratic_form(np.diag([4.0, 1.0]), np.zeros(2)) == 0.0
 
     def test_dimension_mismatch(self):
-        factor = linalg.cholesky(np.eye(2))
+        lower = np.eye(2)
         with pytest.raises(DimensionMismatch):
-            linalg.solve_quadratic_form(factor, np.zeros(3))
+            linalg.solve_quadratic_form_rows(lower, np.zeros((1, 3)))
+        with pytest.raises(DimensionMismatch):
+            linalg.solve_quadratic_form_rows(lower, np.zeros(2))
 
     def test_matches_direct_solve_and_nonnegative(self):
         rng = np.random.default_rng(11)
         s = random_spd(rng, 8)
-        factor = linalg.cholesky(s)
         for _ in range(20):
             v = rng.standard_normal(8)
-            got = linalg.solve_quadratic_form(factor, v)
+            got = quadratic_form(s, v)
             want = float(v @ np.linalg.solve(s, v))
             assert got >= 0.0
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_zero_iff_zero_vector(self):
         rng = np.random.default_rng(12)
-        factor = linalg.cholesky(random_spd(rng, 5))
-        v = rng.standard_normal(5)
-        assert linalg.solve_quadratic_form(factor, v) > 0.0
+        s = random_spd(rng, 5)
+        assert quadratic_form(s, rng.standard_normal(5)) > 0.0
 
     def test_rows_variant_matches_scalar(self):
         rng = np.random.default_rng(13)
         s = random_spd(rng, 6)
-        factor = linalg.cholesky(s)
+        lower, _ = linalg.cholesky(s)
         rows = rng.standard_normal((9, 6))
-        batch = linalg.solve_quadratic_form_rows(factor, rows)
-        singles = [linalg.solve_quadratic_form(factor, row) for row in rows]
+        batch = linalg.solve_quadratic_form_rows(lower, rows)
+        singles = [quadratic_form(s, row) for row in rows]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
 
@@ -116,9 +113,9 @@ class TestStackedFactors:
         lower, log_det, ok = linalg.cholesky_stack(stack)
         assert ok.all()
         for idx in np.ndindex(3, 2):
-            factor = linalg.cholesky(stack[idx])
-            np.testing.assert_array_equal(lower[idx], factor.lower)
-            assert log_det[idx] == factor.log_det
+            one_lower, one_log_det = linalg.cholesky(stack[idx])
+            np.testing.assert_array_equal(lower[idx], one_lower)
+            assert log_det[idx] == one_log_det
 
     def test_cholesky_stack_flags_only_failures(self):
         # indefinite, near-singular pivot, and positive definite
@@ -131,23 +128,28 @@ class TestStackedFactors:
 
     @pytest.mark.parametrize("dim", [1, 2, 8, 10])
     def test_forward_sq_norms_matches_triangular_solves(self, dim):
+        # the forward substitution of solve_quadratic_form_rows against
+        # one LAPACK triangular solve per factor
         rng = np.random.default_rng(15 + dim)
-        lower = np.stack([linalg.cholesky(random_spd(rng, dim)).lower for _ in range(4)])
-        b = rng.standard_normal((4, dim, 7))
-        got = linalg.forward_sq_norms(lower, b)
+        lower = np.stack([linalg.cholesky(random_spd(rng, dim))[0] for _ in range(4)])
+        rows = rng.standard_normal((4, 7, dim))
+        got = linalg.solve_quadratic_form_rows(lower, rows)
         for i in range(4):
-            y = solve_triangular(lower[i], b[i], lower=True)
+            y = solve_triangular(lower[i], rows[i].T, lower=True)
             np.testing.assert_allclose(got[i], np.sum(y * y, axis=0), rtol=1e-13)
+        # rows stored as the transpose of (..., dim, n) arrays read the same
+        transposed = np.swapaxes(np.ascontiguousarray(np.swapaxes(rows, 1, 2)), 1, 2)
+        np.testing.assert_array_equal(linalg.solve_quadratic_form_rows(lower, transposed), got)
 
     def test_forward_sq_norms_broadcasts_and_checks_shape(self):
         rng = np.random.default_rng(16)
-        lower = linalg.cholesky(random_spd(rng, 3)).lower
-        b = rng.standard_normal((5, 3, 2))
-        np.testing.assert_allclose(linalg.forward_sq_norms(lower, b),
-                                   linalg.forward_sq_norms(np.stack([lower] * 5), b),
+        lower = linalg.cholesky(random_spd(rng, 3))[0]
+        rows = rng.standard_normal((5, 2, 3))
+        np.testing.assert_allclose(linalg.solve_quadratic_form_rows(lower, rows),
+                                   linalg.solve_quadratic_form_rows(np.stack([lower] * 5), rows),
                                    rtol=0, atol=0)
         with pytest.raises(DimensionMismatch):
-            linalg.forward_sq_norms(lower, rng.standard_normal((4, 2)))
+            linalg.solve_quadratic_form_rows(lower, rng.standard_normal((4, 2)))
 
 
 class TestQrOrthogonal:
@@ -185,25 +187,3 @@ class TestQrOrthogonal:
     def test_orthonormal_columns_empty(self):
         q = linalg.orthonormal_columns(np.zeros((5, 0)))
         assert q.shape == (5, 0)
-
-
-class TestSampleCovariance:
-    def test_identical_rows_give_zero(self):
-        x = np.array([[1.0, 2.0], [1.0, 2.0]])
-        np.testing.assert_array_equal(
-            linalg.sample_covariance(x, x.mean(axis=0)), np.zeros((2, 2)))
-
-    def test_hand_computed(self):
-        x = np.array([[0.0, 0.0], [2.0, 0.0]])
-        got = linalg.sample_covariance(x, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(got, np.array([[2.0, 0.0], [0.0, 0.0]]))
-
-    def test_single_sample_rejected(self):
-        with pytest.raises(TooFewSamples):
-            linalg.sample_covariance(np.array([[1.0, 2.0]]), np.array([1.0, 2.0]))
-
-    def test_symmetry_exact(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((40, 6))
-        cov = linalg.sample_covariance(x, x.mean(axis=0))
-        np.testing.assert_array_equal(cov, cov.T)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from rpeqda import linalg, qda, rpe, schemes
@@ -9,6 +11,7 @@ from rpeqda.covariance import DenseCovariance
 from rpeqda.dataset import Dataset
 from rpeqda.errors import (
     DimensionMismatch,
+    InvalidParameter,
     MemberDegenerate,
     NonFiniteInput,
     NotPositiveDefinite,
@@ -21,6 +24,10 @@ from rpeqda.randproj import ProjectionFamily, generate, project
 
 SN = ProjectionFamily.STANDARD_NORMAL
 STP = ProjectionFamily.SPARSE_THREE_POINT
+
+# scores at x and c * x may differ by rounding, so predictions are compared
+# only where the class margin is wider than this
+SCALE_MARGIN_TOL = 1e-6
 
 
 def two_class_data(rng, n_per_class=30, p=5, shift=1.5):
@@ -37,6 +44,12 @@ def random_spd(rng, dim):
     return a @ a.T + dim * np.eye(dim)
 
 
+def qda_fit(data):
+    """Array-form QDA of a Dataset, classes in first-appearance order."""
+    return qda.fit_grouped([(label, data.features[data.class_indices(label)])
+                            for label in data.class_labels])
+
+
 class TestFit:
     def test_determinism(self):
         data = two_class_data(np.random.default_rng(1))
@@ -48,6 +61,17 @@ class TestFit:
         z = np.random.default_rng(2).standard_normal((10, 5))
         np.testing.assert_array_equal(rpe.rpe_scores_rows(m1, z),
                                       rpe.rpe_scores_rows(m2, z))
+
+    @pytest.mark.parametrize("ridge", [-1.0, -1e-300, np.nan, np.inf])
+    def test_bad_ridge_rejected(self, ridge):
+        # sample fit and population mode share the ridge check
+        rng = np.random.default_rng(1)
+        config = rpe.RpeConfig(B=2, d=2, ridge=ridge)
+        with pytest.raises(InvalidParameter) as err:
+            rpe.rpe_fit(two_class_data(rng), config)
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
+        with pytest.raises(InvalidParameter):
+            rpe.population_rpe_scores(random_populations(rng, 5), 5, config, np.zeros(5))
 
     def test_reduced_dim_too_large(self):
         data = two_class_data(np.random.default_rng(1), n_per_class=6)
@@ -196,10 +220,10 @@ class TestScores:
         data = two_class_data(np.random.default_rng(14))
         model = rpe.rpe_fit(data, rpe.RpeConfig(B=1, d=3, master_seed=21))
         matrix = model.members.matrices[0]
-        member = qda.fit(Dataset(project(matrix, data.features), data.labels))
+        member = qda_fit(Dataset(project(matrix, data.features), data.labels))
         z = np.random.default_rng(15).standard_normal(5)
-        direct = qda.classify(member, project(matrix, z))
-        assert rpe.rpe_classify(model, z) == direct
+        scores = qda.class_scores_rows(*member, project(matrix, z[None, :]))[0]
+        assert rpe.rpe_classify(model, z) == data.class_labels[int(np.argmax(scores))]
 
 
 def with_members(model, order):
@@ -219,11 +243,11 @@ class TestFullDimensionEquivalence:
     def test_sample_mode_square_projection_matches_classical(self):
         rng = np.random.default_rng(16)
         data = two_class_data(rng, n_per_class=30, p=5)
-        classical = qda.fit(data)
+        classical = qda_fit(data)
         model = rpe.rpe_fit(data, rpe.RpeConfig(B=1, d=5, master_seed=33))
         z_rows = rng.standard_normal((100, 5)) * 1.5
         ens = rpe.rpe_scores_rows(model, z_rows)
-        direct = qda.class_scores_rows(classical, z_rows)
+        direct = qda.class_scores_rows(*classical, z_rows)
         np.testing.assert_allclose(ens[:, 0] - ens[:, 1],
                                    direct[:, 0] - direct[:, 1], atol=1e-8)
 
@@ -315,16 +339,16 @@ def oracle_population_scores(populations, p, config, z_rows):
                 for prior, mean, cov in populations:
                     s = project(matrix, cov.matvec(matrix.to_dense().T).T)
                     factor = linalg.cholesky((s + s.T) / 2.0 + config.ridge * np.eye(d))
-                    classes.append((math.log(prior), project(matrix, mean), factor))
+                    classes.append((math.log(prior), project(matrix, mean), *factor))
                 break
             except NotPositiveDefinite:
                 continue
         else:
             raise MemberDegenerate(b)
         projected = project(matrix, z_rows)
-        for j, (log_prior, mu, factor) in enumerate(classes):
-            y = solve_triangular(factor.lower, (projected - mu).T, lower=True)
-            acc[:, j] += log_prior - 0.5 * factor.log_det - 0.5 * np.sum(y * y, axis=0)
+        for j, (log_prior, mu, lower, log_det) in enumerate(classes):
+            y = solve_triangular(lower, (projected - mu).T, lower=True)
+            acc[:, j] += log_prior - 0.5 * log_det - 0.5 * np.sum(y * y, axis=0)
     return acc / config.B
 
 
@@ -404,3 +428,63 @@ class TestPopulationStacks:
         z_rows[2, 0] = np.nan
         with pytest.raises(NonFiniteInput, match="row 2"):
             rpe.population_rpe_scores(pops, 5, rpe.RpeConfig(B=2, d=2), z_rows)
+
+
+def labeled_blocks(seed, n_classes, p):
+    """Per-class training blocks and rows to score."""
+    rng = np.random.default_rng(seed)
+    blocks = [rng.standard_normal((int(rng.integers(6, 14)), p)) * rng.uniform(0.5, 2.0, p)
+              + rng.standard_normal(p) for _ in range(n_classes)]
+    return blocks, rng.standard_normal((20, p)) * 2
+
+
+def ensemble_scores(blocks, order, names, family, z_rows, scale=1.0):
+    """rpe_scores_rows of an ensemble trained on the class blocks taken in
+    ``order``, class j labelled ``names[j]``."""
+    data = Dataset(scale * np.vstack([blocks[j] for j in order]),
+                   [names[j] for j in order for _ in blocks[j]])
+    config = rpe.RpeConfig(B=5, d=2, family=family, master_seed=17)
+    return rpe.rpe_scores_rows(rpe.rpe_fit(data, config), scale * z_rows)
+
+
+class TestInvariances:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(3, 12),
+           st.sampled_from([SN, STP]), st.randoms())
+    def test_class_reordering_permutes_score_columns(self, seed, n_classes, p, family, random):
+        blocks, z_rows = labeled_blocks(seed, n_classes, p)
+        names = [f"c{j}" for j in range(n_classes)]
+        order = list(range(n_classes))
+        random.shuffle(order)
+        base = ensemble_scores(blocks, range(n_classes), names, family, z_rows)
+        moved = ensemble_scores(blocks, order, names, family, z_rows)
+        if family is STP:
+            np.testing.assert_array_equal(moved, base[:, order])
+        else:
+            # a dense BLAS product may round a training row differently
+            # once the row sits at another position
+            np.testing.assert_allclose(moved, base[:, order], rtol=1e-12, atol=0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(3, 12),
+           st.sampled_from([SN, STP]))
+    def test_label_renaming_leaves_scores_unchanged(self, seed, n_classes, p, family):
+        blocks, z_rows = labeled_blocks(seed, n_classes, p)
+        order = range(n_classes)
+        base = ensemble_scores(blocks, order, [f"c{j}" for j in order], family, z_rows)
+        renamed = ensemble_scores(blocks, order, [f"{-j} x" for j in order], family, z_rows)
+        np.testing.assert_array_equal(renamed, base)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(3, 12),
+           st.sampled_from([SN, STP]), st.floats(1e-3, 1e3))
+    def test_global_scaling_keeps_predictions(self, seed, n_classes, p, family, c):
+        blocks, z_rows = labeled_blocks(seed, n_classes, p)
+        order = range(n_classes)
+        names = [f"c{j}" for j in order]
+        base = ensemble_scores(blocks, order, names, family, z_rows)
+        scaled = ensemble_scores(blocks, order, names, family, z_rows, scale=c)
+        top2 = np.sort(base, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > SCALE_MARGIN_TOL
+        np.testing.assert_array_equal(np.argmax(scaled, axis=1)[clear],
+                                      np.argmax(base, axis=1)[clear])

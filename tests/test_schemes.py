@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from rpeqda import linalg, schemes
 from rpeqda.covariance import DenseCovariance
-from rpeqda.errors import DimensionTooSmall, RpeQdaError, UnknownScheme
+from rpeqda.errors import (
+    DimensionMismatch,
+    DimensionTooSmall,
+    InvalidCovariance,
+    InvalidParameter,
+    RpeQdaError,
+    UnknownScheme,
+)
 from rpeqda.rng import stream
 from rpeqda.schemes import (
     build_example2,
@@ -22,12 +30,12 @@ def kl_divergence_dense(a, b) -> float:
     and use Cholesky factors; the cross-check for the structured oracle at
     p <= 2048."""
     dense_a, dense_b = a.cov.dense(), b.cov.dense()
-    factor_a = linalg.cholesky(dense_a)
-    factor_b = linalg.cholesky(dense_b)
-    half = np.linalg.solve(factor_a.lower, dense_b)
-    trace_term = float(np.trace(np.linalg.solve(factor_a.lower, half.T)))
-    quad = linalg.solve_quadratic_form(factor_a, a.mean - b.mean)
-    return 0.5 * (trace_term + quad - dense_a.shape[0] + factor_a.log_det - factor_b.log_det)
+    lower_a, log_det_a = linalg.cholesky(dense_a)
+    _, log_det_b = linalg.cholesky(dense_b)
+    half = np.linalg.solve(lower_a, dense_b)
+    trace_term = float(np.trace(np.linalg.solve(lower_a, half.T)))
+    y = solve_triangular(lower_a, a.mean - b.mean, lower=True)
+    return 0.5 * (trace_term + float(y @ y) - dense_a.shape[0] + log_det_a - log_det_b)
 
 
 class TestBuildScheme:
@@ -97,8 +105,15 @@ class TestBuildExample2:
             assert kl12 == pytest.approx(60 * (2.0 - math.log(2.0) - 1.0) / 2.0, rel=1e-10)
 
     def test_c_equal_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCovariance) as err:
             build_example2(50, c=1.0, r=0)
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
+        with pytest.raises(InvalidCovariance):
+            build_example2(50, c=0.0, r=0)
+
+    def test_spike_bound_at_most_one_rejected(self):
+        with pytest.raises(InvalidCovariance):
+            build_example2(50, c=2.0, r=2, spike_bound=0.5)
 
     def test_bad_rank_rejected(self):
         with pytest.raises(DimensionTooSmall):
@@ -126,8 +141,9 @@ class TestSampling:
 
     def test_bad_class_index(self):
         spec = build_scheme("s3", 32)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter) as err:
             sample(spec, 3, 2, seed=0)
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
 
     @pytest.mark.parametrize("sid,p", [("s1", 64), ("s2", 64), ("s3", 64),
                                        ("s4", 64), ("example2", 64)])
@@ -158,6 +174,13 @@ class TestKlOracle:
         cov = DenseCovariance(np.array([[2.0, 0.5], [0.5, 1.0]]))
         pop = schemes.Population(0.5, np.array([1.0, -1.0]), cov)
         assert kl_divergence(pop, pop) == 0.0
+
+    def test_dimension_mismatch(self):
+        a = schemes.Population(0.5, np.zeros(1), DenseCovariance(np.array([[1.0]])))
+        b = schemes.Population(0.5, np.zeros(2), DenseCovariance(np.eye(2)))
+        with pytest.raises(DimensionMismatch) as err:
+            kl_divergence(a, b)
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
 
     def test_scalar_case_frozen_values(self):
         a = schemes.Population(0.5, np.zeros(1), DenseCovariance(np.array([[1.0]])))
