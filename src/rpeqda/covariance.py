@@ -12,7 +12,9 @@ divergence oracle and the population-mode classifier need:
 * ``dense()``      -- explicit materialization, intended for p <= 2048
 
 Sampling consumes the supplied Generator in a fixed documented order, so a
-seed fully determines the draw.
+seed fully determines the draw.  Samplers transform their normal draws in
+place, or ``_SAMPLE_BLOCK_ROWS`` rows at a time, so a draw of n rows
+holds one n x p array plus temporaries of at most a row block.
 """
 
 import math
@@ -27,6 +29,9 @@ from .errors import DimensionMismatch, InvalidCovariance, InvalidParameter
 # Generic trace products fall back to an O(p^2) column sweep; cap the size
 # so accidental huge inputs fail fast instead of thrashing.
 DENSE_FALLBACK_LIMIT = 2048
+
+# Rows per block where a sampler needs a temporary the width of its draw.
+_SAMPLE_BLOCK_ROWS = 16
 
 
 def _as_columns(v):
@@ -126,7 +131,9 @@ class EquiCorrelation:
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.p))
         w = rng.standard_normal((n, 1))
-        return math.sqrt(1.0 - self.rho) * z + math.sqrt(self.rho) * w
+        z *= math.sqrt(1.0 - self.rho)
+        z += math.sqrt(self.rho) * w
+        return z
 
     def dense(self):
         return (1.0 - self.rho) * np.eye(self.p) + self.rho * np.ones((self.p, self.p))
@@ -182,13 +189,14 @@ class ArProcessCovariance:
             1.0 - self.rho * self.rho)
 
     def sample(self, n, rng):
-        eps = rng.standard_normal((n, self.p))
+        x = rng.standard_normal((n, self.p))
         if self.p > 1:
-            eps[:, 1:] *= math.sqrt(1.0 - self.rho * self.rho)
-            x = lfilter([1.0], [1.0, -self.rho], eps, axis=1)
-        else:
-            x = eps
-        return math.sqrt(self.scale) * x
+            x[:, 1:] *= math.sqrt(1.0 - self.rho * self.rho)
+            for lo in range(0, n, _SAMPLE_BLOCK_ROWS):
+                block = x[lo:lo + _SAMPLE_BLOCK_ROWS]
+                block[...] = lfilter([1.0], [1.0, -self.rho], block, axis=1)
+        x *= math.sqrt(self.scale)
+        return x
 
     def dense(self):
         idx = np.arange(self.p)
@@ -227,15 +235,19 @@ class InverseArCovariance:
             1.0 - self.rho * self.rho)
 
     def sample(self, n, rng):
-        z = rng.standard_normal((n, self.p))
-        if self.p == 1:
-            return math.sqrt(self.scale) * z
-        s = math.sqrt(1.0 - self.rho * self.rho)
-        x = np.empty_like(z)
-        x[:, 1:-1] = (z[:, 1:-1] - self.rho * z[:, 2:]) / s
-        x[:, 0] = z[:, 0] - (self.rho / s) * z[:, 1]
-        x[:, -1] = z[:, -1] / s
-        return math.sqrt(self.scale) * x
+        # x_i = (z_i - rho z_{i+1}) / s with x_1 = z_1 - (rho / s) z_2 and
+        # x_p = z_p / s, overwriting z one row block at a time
+        x = rng.standard_normal((n, self.p))
+        if self.p > 1:
+            s = math.sqrt(1.0 - self.rho * self.rho)
+            for lo in range(0, n, _SAMPLE_BLOCK_ROWS):
+                z = x[lo:lo + _SAMPLE_BLOCK_ROWS]
+                first = z[:, 0] - (self.rho / s) * z[:, 1]
+                z[:, 1:-1] -= self.rho * z[:, 2:]
+                z[:, 1:] /= s
+                z[:, 0] = first
+        x *= math.sqrt(self.scale)
+        return x
 
     def dense(self):
         if self.p == 1:
@@ -323,7 +335,8 @@ class SpikedIdentity:
         if self.gamma.size == 0:
             return z
         stretch = np.sqrt(1.0 + self.gamma) - 1.0
-        return z + ((z @ self.basis) * stretch) @ self.basis.T
+        z += ((z @ self.basis) * stretch) @ self.basis.T
+        return z
 
     def dense(self):
         return np.eye(self.p) + (self.basis * self.gamma) @ self.basis.T
@@ -352,7 +365,9 @@ class ScaledCovariance:
         return self.base.log_det() + self.p * math.log(self.scale)
 
     def sample(self, n, rng):
-        return math.sqrt(self.scale) * self.base.sample(n, rng)
+        x = self.base.sample(n, rng)
+        x *= math.sqrt(self.scale)
+        return x
 
     def dense(self):
         return self.scale * self.base.dense()
@@ -388,7 +403,10 @@ class BlockDiagonal:
         return float(sum(b.log_det() for b in self.blocks))
 
     def sample(self, n, rng):
-        return np.concatenate([b.sample(n, rng) for b in self.blocks], axis=1)
+        out = np.empty((n, self.p))
+        for block, lo, hi in zip(self.blocks, self.offsets, self.offsets[1:]):
+            out[:, lo:hi] = block.sample(n, rng)
+        return out
 
     def dense(self):
         out = np.zeros((self.p, self.p))

@@ -89,7 +89,7 @@ class EmptyInput(RpeQdaError, ValueError):
     """An operation received an empty sequence."""
 
 
-class DimensionTooSmall(RpeQdaError):
+class DimensionTooSmall(RpeQdaError, ValueError):
     """Ambient dimension p is too small for the requested construction."""
 
 

@@ -121,20 +121,23 @@ def run_scheme_experiment(scheme_id, p: int, n_train_per_class: int,
 
     kl = schemes.kl_summary(spec)
     deltas, timings = [], []
-    test_truth = [str(k) for k in (1, 2) for _ in range(n_test_per_class)]
+    n_train, n_test = n_train_per_class, n_test_per_class
+    test_truth = [str(k) for k in (1, 2) for _ in range(n_test)]
+    train_labels = tuple(str(k) for k in (1, 2) for _ in range(n_train))
+    # every replicate refills these; each class's draws are copied into
+    # place and dropped before the next class is drawn
+    train_rows = np.empty((2 * n_train, spec.p))
+    test_rows = np.empty((2 * n_test, spec.p))
     for r in range(1, reps + 1):
         start = time.perf_counter()
-        train_blocks, test_blocks, train_labels = [], [], []
-        for k in (1, 2):
-            draws = schemes.sample(spec, k, n_train_per_class + n_test_per_class,
-                                   mix(data_seed, r, k))
-            train_blocks.append(draws[:n_train_per_class])
-            test_blocks.append(draws[n_train_per_class:])
-            train_labels.extend([str(k)] * n_train_per_class)
-        train = Dataset(np.vstack(train_blocks), tuple(train_labels))
+        for i, k in enumerate((1, 2)):
+            draws = schemes.sample(spec, k, n_train + n_test, mix(data_seed, r, k))
+            train_rows[i * n_train:(i + 1) * n_train] = draws[:n_train]
+            test_rows[i * n_test:(i + 1) * n_test] = draws[n_train:]
+            del draws
         rep_config = replace(config, master_seed=mix(data_seed, r, PROJECTION_TAG))
-        model = rpe.rpe_fit(train, rep_config)
-        predictions = rpe.rpe_predict_rows(model, np.vstack(test_blocks))
+        model = rpe.rpe_fit(Dataset(train_rows, train_labels), rep_config)
+        predictions = rpe.rpe_predict_rows(model, test_rows)
         deltas.append(misclassification(predictions, test_truth))
         timings.append(time.perf_counter() - start)
 

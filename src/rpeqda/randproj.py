@@ -12,17 +12,31 @@ Generation is a pure function of (family, d, p, seed): the Philox stream
 for ``seed`` is consumed in a fixed, documented order, so a stored seed
 regenerates the matrix bit-exactly.  No row normalization or
 orthogonalization is applied.
+
+Projecting n rows through B sparse matrices costs one multiply-add per
+stored triplet per row, about n * B * d * sqrt(p) (Li, Hastie & Church,
+2006, "Very sparse random projections"), plus one pass over the n x p
+input to transpose it.  The triplets are stacked into one CSC matrix per
+call and applied to ``_SPARSE_BLOCK_ROWS`` rows at a time, so the extra
+memory is one transposed row block, never a copy of the whole input.
+Every output still sums its nonzeros in column order, so the result does
+not depend on the block size.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, EmptyInput, InvalidDimensions, UnknownProjectionFamily
 from .rng import stream
+
+# Rows per sparse product.  Measured at p = 65536, B = 200, d = 10 and 400
+# rows (2 cores): 1 row 0.61 s, 4 rows 0.22 s, 8 rows 0.16 s, 16 rows
+# 0.13 s, 32 rows 0.20 s, 64 rows 0.30 s; the whole input at once, through
+# scipy's contiguous copy of x.T, 0.91 s.
+_SPARSE_BLOCK_ROWS = 16
 
 
 class ProjectionFamily(str, Enum):
@@ -48,17 +62,11 @@ class ProjectionMatrix:
     cols: np.ndarray | None = None
     signs: np.ndarray | None = None
 
-    @cached_property
-    def _sparse(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.signs.astype(np.float64), (self.rows, self.cols)),
-            shape=(self.d, self.p))
-
     def to_dense(self) -> np.ndarray:
         """Materialize the full d x p array (tests and small-scale use)."""
         if self.entries is not None:
             return self.entries.copy()
-        return self._sparse.toarray()
+        return _stacked_csc([self]).toarray()
 
 
 def generate(family: ProjectionFamily, d: int, p: int, seed: int) -> ProjectionMatrix:
@@ -89,12 +97,34 @@ def generate(family: ProjectionFamily, d: int, p: int, seed: int) -> ProjectionM
     raise UnknownProjectionFamily(f"unknown projection family {family!r}")
 
 
+def _stacked_csc(matrices) -> sp.csc_matrix:
+    """The (B * d) x p CSC matrix of B sparse matrices stacked by rows."""
+    d = matrices[0].d
+    rows = np.concatenate([m.rows + b * d for b, m in enumerate(matrices)])
+    cols = np.concatenate([m.cols for m in matrices])
+    signs = np.concatenate([m.signs for m in matrices]).astype(np.float64)
+    return sp.csc_matrix((signs, (rows, cols)), shape=(len(matrices) * d, matrices[0].p))
+
+
+def _sparse_product(matrices, x: np.ndarray) -> np.ndarray:
+    """(B * d, n) product of the stacked sparse matrices with x.T, one
+    block of ``_SPARSE_BLOCK_ROWS`` rows of x at a time."""
+    stacked = _stacked_csc(matrices)
+    n = x.shape[0]
+    out = np.empty((stacked.shape[0], n))
+    for lo in range(0, n, _SPARSE_BLOCK_ROWS):
+        hi = min(lo + _SPARSE_BLOCK_ROWS, n)
+        out[:, lo:hi] = stacked @ np.ascontiguousarray(x[lo:hi].T)
+    return out
+
+
 def project(r: ProjectionMatrix, x: np.ndarray) -> np.ndarray:
     """Apply the projection to the rows of ``x``: (n, p) -> (n, d).
 
     A 1-d input of length p is treated as a single row and returns shape
-    (d,).  Sparse matrices use sparse accumulation, costing one add per
-    stored triplet per row.
+    (d,).  Sparse matrices go through the blocked product of
+    :func:`project_many`, so ``project(r, x)`` equals
+    ``project_many([r], x)[0]`` bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -106,7 +136,7 @@ def project(r: ProjectionMatrix, x: np.ndarray) -> np.ndarray:
     if r.entries is not None:
         out = x @ r.entries.T
     else:
-        out = r._sparse.dot(x.T).T
+        out = _sparse_product([r], x).T
     return out[0] if single else out
 
 
@@ -114,8 +144,11 @@ def project_many(matrices, x: np.ndarray) -> np.ndarray:
     """Project ``x`` (n, p) through a list of B same-shape matrices at once.
 
     Returns an array of shape (B, n, d).  All matrices must share d, p and
-    family; dense payloads are stacked into a single matmul and sparse
-    payloads into a single block sparse product.
+    family.  Dense payloads are stacked into a single matmul against x.T.
+    Sparse triplets are stacked into one CSC matrix and applied to
+    contiguous blocks of ``_SPARSE_BLOCK_ROWS`` transposed rows: about
+    n * B * d * sqrt(p) multiply-adds plus one O(n * p) transpose, with one
+    row block, not a copy of x, as the extra memory.
     """
     x = np.asarray(x, dtype=np.float64)
     b = len(matrices)
@@ -129,6 +162,5 @@ def project_many(matrices, x: np.ndarray) -> np.ndarray:
         stacked = np.concatenate([m.entries for m in matrices], axis=0)
         out = stacked @ x.T
     else:
-        stacked = sp.vstack([m._sparse for m in matrices], format="csr")
-        out = stacked.dot(x.T)
+        out = _sparse_product(matrices, x)
     return np.ascontiguousarray(out.reshape(b, d, x.shape[0]).transpose(0, 2, 1))

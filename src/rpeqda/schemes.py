@@ -152,12 +152,18 @@ def _scheme4(p: int, structure_seed: int) -> SchemeSpec:
                       {"l": spike_dim, "lam_top": float(lam[0])})
 
 
+def _require_positive_dimension(p) -> None:
+    if p < 1:
+        raise DimensionTooSmall(f"need p >= 1, got p={p}")
+
+
 def build_scheme(scheme_id: str, p: int, structure_seed: int = 0) -> SchemeSpec:
     """Construct the populations of one benchmark scheme at dimension p.
 
     ``structure_seed`` only affects the random orthogonal rotation of the
     s4 spike block; the other schemes are fully deterministic in p.
     """
+    _require_positive_dimension(p)
     key = scheme_id.lower()
     if key == "s1":
         return _scheme1(p)
@@ -179,6 +185,7 @@ def build_example2(p: int, c: float, r: int, spike_bound: float = 10.0,
     (QR with positive-diagonal convention); gamma is uniform on
     [1, spike_bound).  r = 0 gives Sigma = I exactly.
     """
+    _require_positive_dimension(p)
     if not 0 <= r <= p:
         raise DimensionTooSmall(f"need 0 <= r <= p, got r={r}, p={p}")
     if c <= 0 or c == 1.0:
@@ -201,16 +208,18 @@ def sample(spec: SchemeSpec, class_index: int, n: int, seed: int) -> np.ndarray:
     if class_index not in (1, 2):
         raise InvalidParameter(f"class index must be 1 or 2, got {class_index}")
     pop = spec.populations[class_index - 1]
-    return pop.cov.sample(n, stream(seed)) + pop.mean
+    x = pop.cov.sample(n, stream(seed))
+    x += pop.mean
+    return x
 
 
 def sample_dataset(spec: SchemeSpec, n_per_class: int, seed: int) -> Dataset:
     """Balanced labeled sample; class k uses the derived seed mix(seed, k)."""
-    blocks, labels = [], []
-    for k in (1, 2):
-        blocks.append(sample(spec, k, n_per_class, mix(seed, k)))
-        labels.extend([str(k)] * n_per_class)
-    return Dataset(np.vstack(blocks), tuple(labels))
+    features = np.empty((2 * n_per_class, spec.p))
+    for i, k in enumerate((1, 2)):
+        features[i * n_per_class:(i + 1) * n_per_class] = sample(
+            spec, k, n_per_class, mix(seed, k))
+    return Dataset(features, tuple(str(k) for k in (1, 2) for _ in range(n_per_class)))
 
 
 def _params(pop):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ class TestRunSchemeExperiment:
         config = rpe.RpeConfig(B=2, d=20)
         with pytest.raises(ReducedDimTooLarge):
             evaluate.run_scheme_experiment("s2", 64, 20, 10, 1, config, data_seed=1)
+
+    def test_replicate_memory_is_bounded_by_its_data(self):
+        # a replicate holds its 600 rows once, one class's 300-row draw and
+        # row-block temporaries: the traced peak measures 1.53x the data
+        # bytes, and any further copy of the rows (0.5x to 1x each) breaks
+        # the bound
+        p = 8192
+        config = rpe.RpeConfig(B=20, d=10, family=ProjectionFamily.SPARSE_THREE_POINT)
+        tracemalloc.start()
+        try:
+            evaluate.run_scheme_experiment("s3", p, 100, 200, 1, config, data_seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 600 * p * 8
 
     def test_accepts_prebuilt_spec(self):
         spec = schemes.build_example2(64, c=2.0, r=0, seed=1)

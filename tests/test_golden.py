@@ -3,8 +3,9 @@
 Compact model files store only matrix seeds, and every subseed comes from
 ``rng.mix``, so a change in ``mix``, in numpy's Philox, ziggurat,
 ``binomial`` or ``choice`` streams, or in the model-file layout would
-silently change predictions.  These hashes pin them, and the streams of
-the scheme samplers, so a rewrite of a sampler must keep its draws.
+silently change predictions.  These hashes pin them, the streams of the
+scheme samplers and the sparse projection's output, so a rewrite of a
+sampler or of the projection kernel must keep its results.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from scipy.linalg import solve_triangular
 from rpeqda import qda, rpe, schemes, serialize
 from rpeqda.dataset import Dataset
 from rpeqda.errors import MemberDegenerate, SingularCovariance
-from rpeqda.randproj import ProjectionFamily, generate, project
+from rpeqda.randproj import ProjectionFamily, generate, project, project_many
 from rpeqda.rng import mix
 
 SN = ProjectionFamily.STANDARD_NORMAL
@@ -43,6 +44,15 @@ SAMPLE_SHA256 = {
     ("example2-r1", 1): "a812a1be94232b12920cbc206b960ca12255bed22b7e12b594cee9556ac0b82a",
     ("example2-r3", 31): "7c095761bd14bb05097746b37a61786baebbf21df8eed40c8aca250dd88ca040",
 }
+# the same at 37 rows: more than one sampler and projection row block, and
+# not a multiple of the block size
+SAMPLE_37_SHA256 = {
+    ("s1", 97): "484c743104a51a1e204b5d84cd07a1a373a3c633a56c8c42267283632690c4ab",
+    ("s3", 1): "869e001a28f83d91d4096102062a28d0ebdc30d75fafa73331bb00c47fbb4ef2",
+    ("s3", 33): "cde6728846c28917fec955a4ab0db76a8508ad7194c28091bdd5a69d7eeff928",
+}
+# project_many() bytes of 37 rows through 20 sparse matrices at p = 4096
+PROJECT_MANY_STP_SHA256 = "723babc92c4697124478bd3c716252a06d90b2f502a52313df89dbaee248a17b"
 MODEL_SHA256 = {
     "sn-full": "3d2eeec70694653301022ecc54b6027d0dc79da86ad9f9fafd088aabdb8e2391",
     "stp-compact": "1233db6179f668a354c92bfe4f09b815612f314928868a3de95d83344d76baac",
@@ -78,15 +88,29 @@ def test_mix_outputs():
     assert _sha([np.array(values, dtype=np.uint64).tobytes()]) == MIX_SHA256
 
 
-@pytest.mark.parametrize("name, p", list(SAMPLE_SHA256))
-def test_sample_streams(name, p):
+def _sample_sha(name, p, n):
     if name.startswith("example2"):
         spec = schemes.build_example2(p, c=1.7, r=int(name[-1]), spike_bound=4.0, seed=5)
     else:
         spec = schemes.build_scheme(name, p, 3)
-    chunks = [np.ascontiguousarray(schemes.sample(spec, k, 5, 1000 + k)).tobytes()
-              for k in (1, 2)]
-    assert _sha(chunks) == SAMPLE_SHA256[name, p]
+    return _sha([np.ascontiguousarray(schemes.sample(spec, k, n, 1000 + k)).tobytes()
+                 for k in (1, 2)])
+
+
+@pytest.mark.parametrize("name, p", list(SAMPLE_SHA256))
+def test_sample_streams(name, p):
+    assert _sample_sha(name, p, 5) == SAMPLE_SHA256[name, p]
+
+
+@pytest.mark.parametrize("name, p", list(SAMPLE_37_SHA256))
+def test_sample_streams_over_row_blocks(name, p):
+    assert _sample_sha(name, p, 37) == SAMPLE_37_SHA256[name, p]
+
+
+def test_sparse_project_many_bytes():
+    x = np.random.default_rng(77).standard_normal((37, 4096))
+    matrices = [generate(STP, 10, 4096, rpe.member_seed(9, b)) for b in range(1, 21)]
+    assert _sha([project_many(matrices, x).tobytes()]) == PROJECT_MANY_STP_SHA256
 
 
 def _small_data():

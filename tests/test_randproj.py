@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rpeqda import randproj
 from rpeqda.errors import (
@@ -16,6 +17,28 @@ from rpeqda.rng import mix
 
 SN = ProjectionFamily.STANDARD_NORMAL
 STP = ProjectionFamily.SPARSE_THREE_POINT
+BLOCK = randproj._SPARSE_BLOCK_ROWS
+
+
+def csr_product(matrices, x):
+    """(B, n, d) projection by one CSR product against the whole x.T, as
+    sparse projection was computed before it worked in row blocks."""
+    stacked = sp.vstack([sp.csr_matrix((m.signs.astype(np.float64), (m.rows, m.cols)),
+                                       shape=(m.d, m.p)) for m in matrices], format="csr")
+    out = stacked.dot(x.T)
+    return out.reshape(len(matrices), matrices[0].d, x.shape[0]).transpose(0, 2, 1)
+
+
+def laid_out(x, layout):
+    """A copy of x with the same values in C order, Fortran order, or as a
+    non-contiguous view into a wider array."""
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+    wide[:, ::2] = x
+    return wide[:, ::2]
 
 
 class TestGenerate:
@@ -128,6 +151,19 @@ class TestProject:
         for i, m in enumerate(mats):
             np.testing.assert_allclose(stacked[i], project(m, x),
                                        rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_sparse_blocks_match_single_csr_product(self, n, layout):
+        p = 300
+        mats = [generate(STP, 5, p, seed=s) for s in (11, 12, 13)]
+        x = laid_out(np.random.default_rng(n).standard_normal((n, p)), layout)
+        expected = csr_product(mats, x)
+        np.testing.assert_array_equal(project_many(mats, x), expected)
+        for i, m in enumerate(mats):
+            np.testing.assert_array_equal(project(m, x), expected[i])
+            np.testing.assert_array_equal(project(m, x), project_many([m], x)[0])
+        np.testing.assert_array_equal(project(mats[0], x[-1]), expected[0, -1])
 
     def test_project_many_needs_a_matrix(self):
         with pytest.raises(EmptyInput) as err:

@@ -78,6 +78,13 @@ class TestBuildScheme:
         with pytest.raises(DimensionTooSmall):
             build_scheme("s1", 4)
 
+    @pytest.mark.parametrize("scheme_id", ["s1", "s2", "s3", "s4"])
+    @pytest.mark.parametrize("p", [0, -3])
+    def test_nonpositive_dimension_rejected(self, scheme_id, p):
+        with pytest.raises(DimensionTooSmall) as err:
+            build_scheme(scheme_id, p)
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
+
     def test_unknown_scheme(self):
         with pytest.raises(UnknownScheme) as err:
             build_scheme("s9", 512)
@@ -118,6 +125,12 @@ class TestBuildExample2:
     def test_bad_rank_rejected(self):
         with pytest.raises(DimensionTooSmall):
             build_example2(10, c=2.0, r=11)
+
+    @pytest.mark.parametrize("p", [0, -3])
+    def test_nonpositive_dimension_rejected(self, p):
+        with pytest.raises(DimensionTooSmall) as err:
+            build_example2(p, c=2.0, r=0)
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
 
     def test_basis_is_orthonormal(self):
         spec = build_example2(40, c=0.5, r=5, spike_bound=3.0, seed=9)

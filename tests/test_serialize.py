@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rpeqda import rpe, serialize
+from rpeqda import randproj, rpe, serialize
 from rpeqda.dataset import Dataset
 from rpeqda.randproj import ProjectionFamily
 
@@ -74,6 +76,26 @@ class TestModelPersistence:
         z = np.random.default_rng(3).standard_normal((12, 40))
         np.testing.assert_array_equal(rpe.rpe_scores_rows(full, z),
                                       rpe.rpe_scores_rows(compact, z))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(list(ProjectionFamily)),
+           st.integers(3, 60), st.integers(1, 3))
+    def test_compact_reload_scores_bit_identical(self, seed, family, p, d):
+        # small p makes sparse members redraw, so compact files must
+        # regenerate redraw seeds as well as first draws
+        rng = np.random.default_rng(seed)
+        x = np.vstack([rng.standard_normal((8, p)), rng.standard_normal((7, p)) * 1.5 + 0.3])
+        model = rpe.rpe_fit(Dataset(x, ("a",) * 8 + ("b",) * 7),
+                            rpe.RpeConfig(B=4, d=d, family=family, master_seed=seed))
+
+        def reloaded(compact):
+            text = serialize.canonical_json(serialize.model_to_dict(model, compact=compact))
+            return serialize.model_from_dict(json.loads(text))
+
+        z = rng.standard_normal((2 * randproj._SPARSE_BLOCK_ROWS + 3, p))
+        full = rpe.rpe_scores_rows(reloaded(False), z)
+        np.testing.assert_array_equal(full, rpe.rpe_scores_rows(model, z))
+        np.testing.assert_array_equal(rpe.rpe_scores_rows(reloaded(True), z), full)
 
     def test_resave_is_byte_identical(self, tmp_path):
         model = fitted_model()
