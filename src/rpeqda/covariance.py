@@ -7,14 +7,30 @@ divergence oracle and the population-mode classifier need:
 * ``matvec(V)``    -- Sigma @ V for V of shape (p,) or (p, k)
 * ``solve(V)``     -- Sigma^{-1} @ V, exact (no iterative methods)
 * ``log_det()``    -- exact log-determinant
-* ``sample(n, g)`` -- n rows drawn from N(0, Sigma) using the structure
-                      (cost O(p) to O(p * width) per row)
+* ``fill(g, outs)`` -- overwrite the C-contiguous (n_i, p) row blocks
+                      ``outs``, in order, with one draw of sum(n_i) rows
+                      from N(0, Sigma) using the structure (cost O(p) to
+                      O(p * width) per row)
+* ``sample(n, g)`` -- the same draw of n rows as a new array: allocate,
+                      then ``fill``
 * ``dense()``      -- explicit materialization, intended for p <= 2048
 
 Sampling consumes the supplied Generator in a fixed documented order, so a
-seed fully determines the draw.  Samplers transform their normal draws in
-place, or ``_SAMPLE_BLOCK_ROWS`` rows at a time, so a draw of n rows
-holds one n x p array plus temporaries of at most a row block.
+seed fully determines the draw, and ``fill`` consumes it exactly as
+``sample`` of the same total row count does: the bytes do not depend on
+how the rows are split into blocks.  So a caller can draw straight into
+the rows of its own arrays, such as the train and test rows of one class,
+and draws on distinct Generators into distinct blocks can run on
+concurrent threads (NumPy's Generator fills and ufuncs release the GIL).
+
+Handles whose transform acts row by row (identity, equicorrelation, the
+two AR forms, scaling) draw into the blocks and transform them in place,
+``_SAMPLE_BLOCK_ROWS`` rows at a time where they need a temporary.  A
+block diagonal draws each block through temporaries of that block's width,
+because ``standard_normal(out=)`` needs contiguous memory.  Handles that
+transform with a BLAS product (dense, rotated spike, spiked identity with
+r > 0) draw all rows into one temporary and copy it out, because a product
+over fewer rows can round differently.
 """
 
 import math
@@ -45,7 +61,45 @@ def _restore(out, was_vector):
     return out[:, 0] if was_vector else out
 
 
-class DenseCovariance:
+def _total_rows(outs):
+    return sum(len(out) for out in outs)
+
+
+def _draw(rng, outs):
+    """Fill ``outs`` in order with standard normals, one stream of rows."""
+    for out in outs:
+        rng.standard_normal(out=out)
+
+
+def _normal_blocks(rng, outs):
+    """Draw like ``_draw``, ``_SAMPLE_BLOCK_ROWS`` rows at a time, yielding
+    each row block of ``outs`` as soon as it holds its normals, so a row
+    transform runs on each block right after its draw."""
+    for out in outs:
+        for lo in range(0, len(out), _SAMPLE_BLOCK_ROWS):
+            block = out[lo:lo + _SAMPLE_BLOCK_ROWS]
+            rng.standard_normal(out=block)
+            yield block
+
+
+def _copy_out(rows, outs):
+    """Copy consecutive rows of ``rows`` into the blocks ``outs``."""
+    lo = 0
+    for out in outs:
+        out[...] = rows[lo:lo + len(out)]
+        lo += len(out)
+
+
+class _Sampler:
+    """``sample`` for every handle: allocate the rows, then ``fill`` them."""
+
+    def sample(self, n, rng):
+        out = np.empty((n, self.p))
+        self.fill(rng, [out])
+        return out
+
+
+class DenseCovariance(_Sampler):
     """Explicit SPD matrix; the fallback handle and the test oracle."""
 
     def __init__(self, matrix):
@@ -73,15 +127,15 @@ class DenseCovariance:
     def log_det(self):
         return self._chol()[1]
 
-    def sample(self, n, rng):
-        z = rng.standard_normal((n, self.p))
-        return z @ self._chol()[0].T
+    def fill(self, rng, outs):
+        z = rng.standard_normal((_total_rows(outs), self.p))
+        _copy_out(z @ self._chol()[0].T, outs)
 
     def dense(self):
         return self.matrix.copy()
 
 
-class IdentityCovariance:
+class IdentityCovariance(_Sampler):
     def __init__(self, p):
         self.p = p
 
@@ -93,14 +147,14 @@ class IdentityCovariance:
     def log_det(self):
         return 0.0
 
-    def sample(self, n, rng):
-        return rng.standard_normal((n, self.p))
+    def fill(self, rng, outs):
+        _draw(rng, outs)
 
     def dense(self):
         return np.eye(self.p)
 
 
-class EquiCorrelation:
+class EquiCorrelation(_Sampler):
     """Sigma = (1 - rho) I + rho 1 1'.
 
     Inverse by Sherman-Morrison, sampling by the shared-factor identity
@@ -128,18 +182,20 @@ class EquiCorrelation:
         return (self.p - 1) * math.log(1.0 - self.rho) + math.log(
             1.0 - self.rho + self.p * self.rho)
 
-    def sample(self, n, rng):
-        z = rng.standard_normal((n, self.p))
-        w = rng.standard_normal((n, 1))
-        z *= math.sqrt(1.0 - self.rho)
-        z += math.sqrt(self.rho) * w
-        return z
+    def fill(self, rng, outs):
+        _draw(rng, outs)
+        w = rng.standard_normal((_total_rows(outs), 1))
+        lo = 0
+        for z in outs:
+            z *= math.sqrt(1.0 - self.rho)
+            z += math.sqrt(self.rho) * w[lo:lo + len(z)]
+            lo += len(z)
 
     def dense(self):
         return (1.0 - self.rho) * np.eye(self.p) + self.rho * np.ones((self.p, self.p))
 
 
-class ArProcessCovariance:
+class ArProcessCovariance(_Sampler):
     """Sigma = scale * ((rho^|i-j|)), the stationary AR(1) covariance.
 
     matvec runs two geometric recursions (O(p)); solve applies the exact
@@ -188,22 +244,19 @@ class ArProcessCovariance:
         return self.p * math.log(self.scale) + (self.p - 1) * math.log(
             1.0 - self.rho * self.rho)
 
-    def sample(self, n, rng):
-        x = rng.standard_normal((n, self.p))
-        if self.p > 1:
-            x[:, 1:] *= math.sqrt(1.0 - self.rho * self.rho)
-            for lo in range(0, n, _SAMPLE_BLOCK_ROWS):
-                block = x[lo:lo + _SAMPLE_BLOCK_ROWS]
-                block[...] = lfilter([1.0], [1.0, -self.rho], block, axis=1)
-        x *= math.sqrt(self.scale)
-        return x
+    def fill(self, rng, outs):
+        for x in _normal_blocks(rng, outs):
+            if self.p > 1:
+                x[:, 1:] *= math.sqrt(1.0 - self.rho * self.rho)
+                x[...] = lfilter([1.0], [1.0, -self.rho], x, axis=1)
+            x *= math.sqrt(self.scale)
 
     def dense(self):
         idx = np.arange(self.p)
         return self.scale * self.rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-class InverseArCovariance:
+class InverseArCovariance(_Sampler):
     """Sigma = scale * T^{-1} where T = ((rho^|i-j|)).
 
     The inverse correlation T^{-1} is tridiagonal, so Sigma itself is
@@ -234,20 +287,17 @@ class InverseArCovariance:
         return self.p * math.log(self.scale) - (self.p - 1) * math.log(
             1.0 - self.rho * self.rho)
 
-    def sample(self, n, rng):
+    def fill(self, rng, outs):
         # x_i = (z_i - rho z_{i+1}) / s with x_1 = z_1 - (rho / s) z_2 and
         # x_p = z_p / s, overwriting z one row block at a time
-        x = rng.standard_normal((n, self.p))
-        if self.p > 1:
-            s = math.sqrt(1.0 - self.rho * self.rho)
-            for lo in range(0, n, _SAMPLE_BLOCK_ROWS):
-                z = x[lo:lo + _SAMPLE_BLOCK_ROWS]
+        s = math.sqrt(1.0 - self.rho * self.rho)
+        for z in _normal_blocks(rng, outs):
+            if self.p > 1:
                 first = z[:, 0] - (self.rho / s) * z[:, 1]
                 z[:, 1:-1] -= self.rho * z[:, 2:]
                 z[:, 1:] /= s
                 z[:, 0] = first
-        x *= math.sqrt(self.scale)
-        return x
+            z *= math.sqrt(self.scale)
 
     def dense(self):
         if self.p == 1:
@@ -263,7 +313,7 @@ class InverseArCovariance:
         return out
 
 
-class RotatedSpike:
+class RotatedSpike(_Sampler):
     """Sigma = P diag(lam) P' with P square orthogonal."""
 
     def __init__(self, basis, lam):
@@ -286,15 +336,15 @@ class RotatedSpike:
     def log_det(self):
         return float(np.sum(np.log(self.lam)))
 
-    def sample(self, n, rng):
-        z = rng.standard_normal((n, self.p))
-        return (z * np.sqrt(self.lam)) @ self.basis.T
+    def fill(self, rng, outs):
+        z = rng.standard_normal((_total_rows(outs), self.p))
+        _copy_out((z * np.sqrt(self.lam)) @ self.basis.T, outs)
 
     def dense(self):
         return (self.basis * self.lam) @ self.basis.T
 
 
-class SpikedIdentity:
+class SpikedIdentity(_Sampler):
     """Sigma = I_p + P diag(gamma) P' with P a p x r orthonormal block.
 
     r may be 0, in which case Sigma is the identity and ``matvec`` and
@@ -330,19 +380,20 @@ class SpikedIdentity:
     def log_det(self):
         return float(np.sum(np.log1p(self.gamma)))
 
-    def sample(self, n, rng):
-        z = rng.standard_normal((n, self.p))
+    def fill(self, rng, outs):
         if self.gamma.size == 0:
-            return z
+            _draw(rng, outs)
+            return
+        z = rng.standard_normal((_total_rows(outs), self.p))
         stretch = np.sqrt(1.0 + self.gamma) - 1.0
         z += ((z @ self.basis) * stretch) @ self.basis.T
-        return z
+        _copy_out(z, outs)
 
     def dense(self):
         return np.eye(self.p) + (self.basis * self.gamma) @ self.basis.T
 
 
-class ScaledCovariance:
+class ScaledCovariance(_Sampler):
     """Sigma = scale * base, sharing the base representation."""
 
     def __init__(self, base, scale):
@@ -364,16 +415,16 @@ class ScaledCovariance:
     def log_det(self):
         return self.base.log_det() + self.p * math.log(self.scale)
 
-    def sample(self, n, rng):
-        x = self.base.sample(n, rng)
-        x *= math.sqrt(self.scale)
-        return x
+    def fill(self, rng, outs):
+        self.base.fill(rng, outs)
+        for x in outs:
+            x *= math.sqrt(self.scale)
 
     def dense(self):
         return self.scale * self.base.dense()
 
 
-class BlockDiagonal:
+class BlockDiagonal(_Sampler):
     """Block-diagonal composition of structured blocks, applied slicewise.
 
     Sampling consumes the generator block by block in storage order.
@@ -402,11 +453,12 @@ class BlockDiagonal:
     def log_det(self):
         return float(sum(b.log_det() for b in self.blocks))
 
-    def sample(self, n, rng):
-        out = np.empty((n, self.p))
+    def fill(self, rng, outs):
         for block, lo, hi in zip(self.blocks, self.offsets, self.offsets[1:]):
-            out[:, lo:hi] = block.sample(n, rng)
-        return out
+            parts = [np.empty((len(out), hi - lo)) for out in outs]
+            block.fill(rng, parts)
+            for out, part in zip(outs, parts):
+                out[:, lo:hi] = part
 
     def dense(self):
         out = np.zeros((self.p, self.p))

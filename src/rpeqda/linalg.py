@@ -96,10 +96,13 @@ def solve_quadratic_form_rows(lower: np.ndarray, rows: np.ndarray) -> np.ndarray
     diagonal, and ``rows`` is (..., n, dim); their leading dimensions
     broadcast.  Returns (..., n), always nonnegative.  ``L^{-1} v`` is
     found by forward substitution, one component per step, for every
-    factor and row at once, so the cost in Python calls is ``dim`` steps
-    however many factors the stack holds.  The steps read the rows one
-    component at a time, so rows passed as the transpose of a
-    (..., dim, n) array are read contiguously.
+    factor and row at once, so the cost in Python calls grows with
+    ``dim``, not with how many factors the stack holds.  The steps read
+    the rows one component at a time, so rows passed as the transpose of a
+    (..., dim, n) array are read contiguously.  Every step is elementwise,
+    with no BLAS product (whose rounding can depend on how many rows share
+    the call), so each row's result is the same bytes whatever other rows
+    are passed with it.
     """
     lower = np.asarray(lower, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)
@@ -107,14 +110,24 @@ def solve_quadratic_form_rows(lower: np.ndarray, rows: np.ndarray) -> np.ndarray
     if lower.shape[-2] != dim or rows.ndim < 2 or rows.shape[-1] != dim:
         raise DimensionMismatch(
             f"rows of shape {rows.shape} against factors of shape {lower.shape}")
-    b = np.swapaxes(rows, -1, -2)
-    y = np.empty(np.broadcast_shapes(lower.shape[:-2], b.shape[:-2]) + b.shape[-2:])
+    # component-major views: coef[i, k] is L_ik as (..., 1) and comp[i]
+    # the i-th components of the rows, (..., n)
+    coef = np.moveaxis(lower, (-2, -1), (0, 1))[..., None]
+    comp = np.moveaxis(rows, -1, 0)
+    y = np.empty((dim,) + np.broadcast_shapes(lower.shape[:-2] + (1,), rows.shape[:-1]))
+    term = np.empty(y.shape[1:])
     for i in range(dim):
-        row = b[..., i, :]
+        row = comp[i]
         if i:
-            row = row - (lower[..., i:i + 1, :i] @ y[..., :i, :])[..., 0, :]
-        y[..., i, :] = row / lower[..., i, i, None]
-    return np.einsum("...in,...in->...n", y, y)
+            dot = np.multiply(coef[i, 0], y[0])
+            for k in range(1, i):
+                dot += np.multiply(coef[i, k], y[k], out=term)
+            row = np.subtract(row, dot, out=dot)
+        np.divide(row, coef[i, i], out=y[i])
+    qf = np.multiply(y[0], y[0])
+    for i in range(1, dim):
+        qf += np.multiply(y[i], y[i], out=term)
+    return qf
 
 
 def qr_orthogonal(a: np.ndarray) -> np.ndarray:

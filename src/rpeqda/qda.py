@@ -102,9 +102,10 @@ def class_scores_rows(priors, means, lower, log_det, rows) -> np.ndarray:
             f"rows of shape {rows.shape} against models of dim {means.shape[-1]}")
     # math.log, as for the log priors that model files store
     log_priors = np.array([math.log(prior) for prior in priors])
-    # centred rows are built as (..., J, d, n), which the kernel reads
-    # contiguously
-    centered = np.swapaxes(rows, -1, -2)[..., None, :, :] - means[..., None]
+    # centred rows are laid out as (..., J, d, n), which the kernel reads
+    # contiguously (the default order would follow the rows' (n, d) layout)
+    centered = np.subtract(np.swapaxes(rows, -1, -2)[..., None, :, :], means[..., None],
+                           order="C")
     qf = solve_quadratic_form_rows(lower, np.swapaxes(centered, -1, -2))
     return np.swapaxes((log_priors - 0.5 * log_det)[..., None] - 0.5 * qf, -1, -2)
 

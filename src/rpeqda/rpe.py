@@ -14,7 +14,9 @@ fit, scoring and model files all use this one representation.  Fitting
 computes every member's class moments at once (``qda.class_moments`` in
 sample mode), factors them with one batched Cholesky and redraws only the
 members that fail; scoring projects the rows through all matrices at once
-and scores every member with one ``qda.class_scores_rows`` call.
+and scores every member with one ``qda.class_scores_rows`` call, a block
+of rows at a time so that the (B, J, d, rows) arrays of a large batch stay
+within ``_SCORE_BLOCK_BYTES``.
 
 Member b's matrix is generated from the derived seed mix(master_seed, b)
 (b = 1..B), so fitting and scoring are independent of processing order.
@@ -60,6 +62,13 @@ DEFAULT_DIM_CAP = 10
 # and two classes.  Larger chunks save little time once per-call overhead
 # is spread over a chunk, but cost memory.
 POPULATION_CHUNK_BYTES = 2 * 1024 * 1024
+
+# Sample-mode scoring takes rows in blocks whose member arrays (projected
+# rows, centred and whitened rows: 8·B·d·(1 + 2J) bytes per row) fill about
+# this many bytes, so a large batch does not hold them for every row at
+# once.  At B = 200, d = 10 and two classes a block is 419 rows, so a
+# 400-row call is one block.
+_SCORE_BLOCK_BYTES = 32 * 1024 * 1024
 
 # Finite checks scan this many values at a time, so they allocate no
 # temporary the size of the input.
@@ -218,15 +227,21 @@ def rpe_scores_rows(model: RpeModel, z_rows: np.ndarray) -> np.ndarray:
     """Averaged per-class scores for each row of an (m, p) array.
 
     Member contributions accumulate in member-index order, making the
-    floating-point result independent of any parallel schedule.
+    floating-point result independent of any parallel schedule.  Rows are
+    scored in blocks of at most ``_SCORE_BLOCK_BYTES`` of member arrays.
     """
     z_rows = np.asarray(z_rows, dtype=np.float64)
     if z_rows.ndim != 2 or z_rows.shape[1] != model.p:
         raise DimensionMismatch(
             f"rows of shape {z_rows.shape} against model with p={model.p}")
     _require_finite(z_rows, "rows to score")
-    acc = np.zeros((z_rows.shape[0], len(model.class_labels)))
-    _accumulate_scores(acc, model.members, model.priors, z_rows)
+    n_classes = len(model.class_labels)
+    acc = np.zeros((z_rows.shape[0], n_classes))
+    row_bytes = 8 * len(model.members) * model.config.d * (1 + 2 * n_classes)
+    step = max(1, _SCORE_BLOCK_BYTES // row_bytes)
+    for lo in range(0, z_rows.shape[0], step):
+        _accumulate_scores(acc[lo:lo + step], model.members, model.priors,
+                           z_rows[lo:lo + step])
     return acc / len(model.members)
 
 

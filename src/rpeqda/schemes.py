@@ -203,22 +203,53 @@ def build_example2(p: int, c: float, r: int, spike_bound: float = 10.0,
                       {"c": c, "r": r, "spike_bound": spike_bound})
 
 
-def sample(spec: SchemeSpec, class_index: int, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. rows from class 1 or 2 of the scheme, deterministic in seed."""
+def _check_blocks(out, n: int, p: int) -> None:
+    for block in out:
+        if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+                and block.ndim == 2 and block.shape[1] == p
+                and block.flags.c_contiguous and block.flags.writeable):
+            raise InvalidParameter(
+                f"out blocks must be writable C-contiguous float64 arrays of "
+                f"shape (rows, {p})")
+    rows = sum(len(block) for block in out)
+    if rows != n:
+        raise DimensionMismatch(f"out blocks hold {rows} rows, not n={n}")
+
+
+def sample(spec: SchemeSpec, class_index: int, n: int, seed: int,
+           out=None) -> np.ndarray | None:
+    """n i.i.d. rows from class 1 or 2 of the scheme, deterministic in seed.
+
+    Returns a new (n, p) array.  With ``out``, a sequence of writable
+    C-contiguous float64 (n_i, p) blocks whose n_i sum to n, the same rows
+    are written into the blocks in order instead (the first n_1 rows into
+    the first block, and so on) and None is returned; the bytes do not
+    depend on the split.  Calls with distinct seeds and blocks may run on
+    concurrent threads.
+    """
     if class_index not in (1, 2):
         raise InvalidParameter(f"class index must be 1 or 2, got {class_index}")
     pop = spec.populations[class_index - 1]
-    x = pop.cov.sample(n, stream(seed))
-    x += pop.mean
+    if out is None:
+        x = np.empty((n, spec.p))
+        blocks = [x]
+    else:
+        x = None
+        blocks = list(out)
+        _check_blocks(blocks, n, spec.p)
+    pop.cov.fill(stream(seed), blocks)
+    for block in blocks:
+        block += pop.mean
     return x
 
 
 def sample_dataset(spec: SchemeSpec, n_per_class: int, seed: int) -> Dataset:
-    """Balanced labeled sample; class k uses the derived seed mix(seed, k)."""
+    """Balanced labeled sample; class k uses the derived seed mix(seed, k)
+    and is drawn straight into its rows of the feature array."""
     features = np.empty((2 * n_per_class, spec.p))
     for i, k in enumerate((1, 2)):
-        features[i * n_per_class:(i + 1) * n_per_class] = sample(
-            spec, k, n_per_class, mix(seed, k))
+        sample(spec, k, n_per_class, mix(seed, k),
+               out=[features[i * n_per_class:(i + 1) * n_per_class]])
     return Dataset(features, tuple(str(k) for k in (1, 2) for _ in range(n_per_class)))
 
 

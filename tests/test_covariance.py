@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,25 @@ from rpeqda.covariance import (
     trace_solve_product,
 )
 from rpeqda.rng import stream
+
+# SHA-256 of sample(37, stream(4242)) bytes for every handle of
+# fill_handles(), recorded before sampling went through fill
+SAMPLE_37_SHA256 = {
+    "dense": "3b1fc515b28f9deebe1c42797bf18cf8108a073c4e2b14d5b4f33c4fd9119f71",
+    "identity": "020e1d01c0490e7e849762a77801fe5c7c128eae089b52ae53bc380aafcc6d5c",
+    "equi": "3bc07dc92ff53f09b66b37002fb2525f86342970b87b280d35f8c99c142cf4a5",
+    "ar": "8ffdd494cfd0d079480ad45e611047e2fb313bcd060cfb8c1c2c736722c1b065",
+    "inv_ar": "71b20c6dca840e2a1c53879d0014e794afc12a9264a1483f7b2f45b3075772a0",
+    "spike": "e047efc4965f893df776d3abb43d0950c77a77a8eac868cdbc9c1336f265852a",
+    "spiked_identity": "cbc18098445f4e4672c5144d14630075c464878fa022e0bce859871994cb5a0b",
+    "scaled": "534ed0d779ae7e211089a96396f5b2f9e271f50afa92836578e9281cf98a8af6",
+    "blocks": "1df93daf38a44f91b3c1bdf1a0c67a5b665c6e3148bb9223fc9e3dc9d963cf7e",
+    "spiked_identity_r0": "13149f4d6cea7c71bea0418913ca97ef964ca21b0d49aae7b3bd9b23ddd08edf",
+    "ar_p1": "164edfeac5c0c8c5efce74edbb468baeb331639f717ef20e33b00541895ab0b8",
+    "ar_p2": "6f7a6c214dcf4258ac3f73a5c1c244611e835b3a3367e110d484b6ea3706f89c",
+    "inv_ar_p1": "5e23311db370e216d44c4a30e93a4c02a8843d05d2abdeb3a9861bb73270bcc2",
+    "inv_ar_p2": "a4f1d27fa525d36b4884b17bc92bd7bdc3cf27ed1f67410a4c00ad7b8b5c6f75",
+}
 
 
 def make_handles():
@@ -85,6 +106,31 @@ class TestHandleAgainstDense:
         scale = max(np.max(np.abs(dense)), 1.0)
         assert np.max(np.abs(emp - dense)) <= 0.08 * scale
         assert np.max(np.abs(draws.mean(axis=0))) <= 0.05 * np.sqrt(scale)
+
+
+def fill_handles():
+    """Every handle of make_handles(), plus the rank-0 spiked identity and
+    the AR forms at p = 1 and 2, where their samplers take special cases."""
+    handles = make_handles()
+    handles.update({
+        "spiked_identity_r0": SpikedIdentity(8, np.zeros((8, 0)), np.zeros(0)),
+        "ar_p1": ArProcessCovariance(1, 0.7, scale=1.8),
+        "ar_p2": ArProcessCovariance(2, 0.7, scale=1.8),
+        "inv_ar_p1": InverseArCovariance(1, 0.9, scale=1.3),
+        "inv_ar_p2": InverseArCovariance(2, 0.9, scale=1.3),
+    })
+    return handles
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_37_SHA256))
+def test_fill_over_split_blocks_matches_sample(name):
+    # 13 + 24 rows: neither block a multiple of the 16-row sampler blocks
+    cov = fill_handles()[name]
+    whole = cov.sample(37, stream(4242))
+    assert hashlib.sha256(whole.tobytes()).hexdigest() == SAMPLE_37_SHA256[name]
+    blocks = [np.full((13, cov.p), np.nan), np.full((24, cov.p), np.nan)]
+    cov.fill(stream(4242), blocks)
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("build", [

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,9 +10,12 @@ import pytest
 from rpeqda import evaluate, rpe, schemes
 from rpeqda.dataset import Dataset
 from rpeqda.errors import (
+    DimensionMismatch,
     EmptyInput,
+    InvalidCovariance,
     LengthMismatch,
     ReducedDimTooLarge,
+    RpeQdaError,
     SingularCovariance,
     TooFewSamplesForClass,
 )
@@ -75,10 +81,10 @@ class TestRunSchemeExperiment:
             evaluate.run_scheme_experiment("s2", 64, 20, 10, 1, config, data_seed=1)
 
     def test_replicate_memory_is_bounded_by_its_data(self):
-        # a replicate holds its 600 rows once, one class's 300-row draw and
-        # row-block temporaries: the traced peak measures 1.53x the data
-        # bytes, and any further copy of the rows (0.5x to 1x each) breaks
-        # the bound
+        # a replicate holds its 600 rows once, drawn straight into the train
+        # and test arrays, plus row-block temporaries: the traced peak
+        # measures 1.10x the data bytes, and a copy of one class's draws
+        # (0.5x) or any larger copy of the rows breaks the bound
         p = 8192
         config = rpe.RpeConfig(B=20, d=10, family=ProjectionFamily.SPARSE_THREE_POINT)
         tracemalloc.start()
@@ -87,7 +93,57 @@ class TestRunSchemeExperiment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * 600 * p * 8
+        assert peak <= 1.25 * 600 * p * 8
+
+    @pytest.mark.parametrize("failing", [(1,), (2,), (1, 2)])
+    def test_class_draw_errors_stay_typed(self, monkeypatch, failing):
+        # the classes are drawn on worker threads; the caller gets the very
+        # error a draw raised, and class 1's when both fail, even though
+        # class 2 fails first here
+        spec = schemes.build_scheme("s2", 64)
+        errors = {1: InvalidCovariance("class 1 draw"), 2: DimensionMismatch("class 2 draw")}
+
+        def raiser(k):
+            def fill(rng, outs):
+                if k == 1:
+                    time.sleep(0.05)
+                raise errors[k]
+            return fill
+
+        for k in failing:
+            monkeypatch.setattr(spec.populations[k - 1].cov, "fill", raiser(k))
+        config = rpe.RpeConfig(B=4, d=3)
+        with pytest.raises(RpeQdaError) as err:
+            evaluate.run_scheme_experiment(spec, 64, 20, 10, 1, config, data_seed=8)
+        assert err.value is errors[failing[0]]
+
+    def test_concurrent_experiments_match_a_lone_run(self):
+        # four experiments at once (eight class draws on two cores) with a
+        # short switch interval: each report must equal a run on its own
+        config = rpe.RpeConfig(B=6, d=3, family=ProjectionFamily.SPARSE_THREE_POINT)
+
+        def report(seed):
+            return evaluate.run_scheme_experiment(
+                "s1", 64, 15, 10, 2, config, data_seed=seed).to_dict(include_timing=False)
+
+        want = [report(seed) for seed in range(4)]
+        got = [None] * 4
+
+        def work(i):
+            got[i] = report(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
 
     def test_accepts_prebuilt_spec(self):
         spec = schemes.build_example2(64, c=2.0, r=0, seed=1)

@@ -4,8 +4,10 @@ Compact model files store only matrix seeds, and every subseed comes from
 ``rng.mix``, so a change in ``mix``, in numpy's Philox, ziggurat,
 ``binomial`` or ``choice`` streams, or in the model-file layout would
 silently change predictions.  These hashes pin them, the streams of the
-scheme samplers and the sparse projection's output, so a rewrite of a
-sampler or of the projection kernel must keep its results.
+scheme samplers (whole and drawn into split row blocks), the sparse
+projection's output and the canonical report of a small experiment per
+scheme, so a rewrite of a sampler, of the projection kernel or of the
+experiment loop must keep its results.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from rpeqda import qda, rpe, schemes, serialize
+from rpeqda import evaluate, qda, rpe, schemes, serialize
 from rpeqda.dataset import Dataset
 from rpeqda.errors import MemberDegenerate, SingularCovariance
 from rpeqda.randproj import ProjectionFamily, generate, project, project_many
@@ -50,9 +52,21 @@ SAMPLE_37_SHA256 = {
     ("s1", 97): "484c743104a51a1e204b5d84cd07a1a373a3c633a56c8c42267283632690c4ab",
     ("s3", 1): "869e001a28f83d91d4096102062a28d0ebdc30d75fafa73331bb00c47fbb4ef2",
     ("s3", 33): "cde6728846c28917fec955a4ab0db76a8508ad7194c28091bdd5a69d7eeff928",
+    ("s2", 65): "d078388e659e8ce17110da23d67c59665f3f135ae8cf17fe3b7018ca801f05bf",
+    ("s4", 63): "00f8e8e0b892b764343abf5c7a8dfd56b35385b217d58b95994937e46d366e0e",
+    ("example2-r0", 31): "092b4b18b31a56ca1f7dbb54e19577d2a90e9cb72abda0dd5718f82b12ad5344",
+    ("example2-r3", 31): "dae4eb2bd4368d1f6b62d57e326c51b9ae8b79d5a8da0502f40ea3b6a015ff00",
 }
 # project_many() bytes of 37 rows through 20 sparse matrices at p = 4096
 PROJECT_MANY_STP_SHA256 = "723babc92c4697124478bd3c716252a06d90b2f502a52313df89dbaee248a17b"
+# canonical JSON of run_scheme_experiment(scheme, 64, 15, 10, 3,
+# RpeConfig(B=10, d=3, family=stp), data_seed=21), without timing
+EXPERIMENT_SHA256 = {
+    "s1": "44ab889b7ab61cc8c0ec18b285cefa4e0a9b3c1de5f1f214fe0d929a19753d66",
+    "s2": "229e9441a3b5fb89fd2124da68fc51fb06282f57424cc6739b565d1446a11626",
+    "s3": "7e677770e35435b4702451d05213879b414ca446774b234d4042ddbd2500088c",
+    "s4": "f548b8ebbb8a1c266d636f7819c5559c269f425b572b3e82a384ae98c601354e",
+}
 MODEL_SHA256 = {
     "sn-full": "3d2eeec70694653301022ecc54b6027d0dc79da86ad9f9fafd088aabdb8e2391",
     "stp-compact": "1233db6179f668a354c92bfe4f09b815612f314928868a3de95d83344d76baac",
@@ -88,13 +102,22 @@ def test_mix_outputs():
     assert _sha([np.array(values, dtype=np.uint64).tobytes()]) == MIX_SHA256
 
 
-def _sample_sha(name, p, n):
+def _sample_sha(name, p, n, split=None):
+    """Hash of both classes' draws of n rows; with ``split`` (row counts
+    summing to n) each class is drawn into blocks of those sizes."""
     if name.startswith("example2"):
         spec = schemes.build_example2(p, c=1.7, r=int(name[-1]), spike_bound=4.0, seed=5)
     else:
         spec = schemes.build_scheme(name, p, 3)
-    return _sha([np.ascontiguousarray(schemes.sample(spec, k, n, 1000 + k)).tobytes()
-                 for k in (1, 2)])
+    chunks = []
+    for k in (1, 2):
+        if split is None:
+            chunks.append(np.ascontiguousarray(schemes.sample(spec, k, n, 1000 + k)).tobytes())
+        else:
+            blocks = [np.full((rows, p), np.nan) for rows in split]
+            assert schemes.sample(spec, k, n, 1000 + k, out=blocks) is None
+            chunks.extend(block.tobytes() for block in blocks)
+    return _sha(chunks)
 
 
 @pytest.mark.parametrize("name, p", list(SAMPLE_SHA256))
@@ -105,6 +128,21 @@ def test_sample_streams(name, p):
 @pytest.mark.parametrize("name, p", list(SAMPLE_37_SHA256))
 def test_sample_streams_over_row_blocks(name, p):
     assert _sample_sha(name, p, 37) == SAMPLE_37_SHA256[name, p]
+
+
+@pytest.mark.parametrize("name, p", list(SAMPLE_37_SHA256))
+def test_sample_into_split_blocks(name, p):
+    assert _sample_sha(name, p, 37, split=(13, 24)) == SAMPLE_37_SHA256[name, p]
+
+
+@pytest.mark.parametrize("scheme", list(EXPERIMENT_SHA256))
+def test_scheme_experiment_report(scheme):
+    # both classes are drawn concurrently; the report must not depend on
+    # the schedule
+    config = rpe.RpeConfig(B=10, d=3, family=STP)
+    report = evaluate.run_scheme_experiment(scheme, 64, 15, 10, 3, config, data_seed=21)
+    text = serialize.canonical_json(report.to_dict(include_timing=False))
+    assert _sha([text.encode()]) == EXPERIMENT_SHA256[scheme]
 
 
 def test_sparse_project_many_bytes():

@@ -141,6 +141,20 @@ class TestStackedFactors:
         transposed = np.swapaxes(np.ascontiguousarray(np.swapaxes(rows, 1, 2)), 1, 2)
         np.testing.assert_array_equal(linalg.solve_quadratic_form_rows(lower, transposed), got)
 
+    @pytest.mark.parametrize("dim", [1, 2, 8, 10])
+    def test_forward_sq_norms_rows_are_independent(self, dim):
+        # a row's quadratic form is the same bytes whichever rows share
+        # the call, so scoring in row blocks cannot change a score
+        rng = np.random.default_rng(25 + dim)
+        lower = np.stack([linalg.cholesky(random_spd(rng, dim))[0] for _ in range(6)])
+        rows = np.swapaxes(rng.standard_normal((6, dim, 37)), 1, 2)
+        whole = linalg.solve_quadratic_form_rows(lower, rows)
+        for size in (1, 2, 3, 5, 16, 36):
+            for lo in range(0, 37, size):
+                part = np.ascontiguousarray(rows[:, lo:lo + size])
+                np.testing.assert_array_equal(
+                    linalg.solve_quadratic_form_rows(lower, part), whole[:, lo:lo + size])
+
     def test_forward_sq_norms_broadcasts_and_checks_shape(self):
         rng = np.random.default_rng(16)
         lower = linalg.cholesky(random_spd(rng, 3))[0]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ STP = ProjectionFamily.SPARSE_THREE_POINT
 # scores at x and c * x may differ by rounding, so predictions are compared
 # only where the class margin is wider than this
 SCALE_MARGIN_TOL = 1e-6
+# scores of an ensemble refitted on the training rows in another order
+# within each class agree to this fraction of the largest score
+PERMUTATION_TOL = 1e-10
 
 
 def two_class_data(rng, n_per_class=30, p=5, shift=1.5):
@@ -215,6 +219,50 @@ class TestScores:
             rpe.rpe_predict_rows(model, z_rows)
         with pytest.raises(NonFiniteInput):
             rpe.rpe_scores(model, np.full(5, np.inf))
+
+    @staticmethod
+    def _set_block_rows(monkeypatch, rows, model):
+        row_bytes = 8 * len(model.members) * model.config.d * (1 + 2 * len(model.class_labels))
+        monkeypatch.setattr(rpe, "_SCORE_BLOCK_BYTES", rows * row_bytes)
+
+    @pytest.mark.parametrize("family", [SN, STP])
+    def test_scores_independent_of_row_block_size(self, monkeypatch, family):
+        # rows are scored independently and members accumulate in member
+        # order, so the row blocks leave sparse (stp) scores bit-identical;
+        # a dense projection is a BLAS product that may round differently
+        # with the row count
+        rng = np.random.default_rng(16)
+        data = two_class_data(rng, p=40)
+        model = rpe.rpe_fit(data, rpe.RpeConfig(B=12, d=4, family=family, master_seed=23))
+        z_rows = rng.standard_normal((203, 40)) * 2.0
+        self._set_block_rows(monkeypatch, 203, model)
+        whole = rpe.rpe_scores_rows(model, z_rows)
+        for rows in (1, 7, 64, 202):
+            self._set_block_rows(monkeypatch, rows, model)
+            blocked = rpe.rpe_scores_rows(model, z_rows)
+            if family is STP:
+                np.testing.assert_array_equal(blocked, whole)
+            else:
+                np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0)
+                np.testing.assert_array_equal(np.argmax(blocked, axis=1),
+                                              np.argmax(whole, axis=1))
+
+    def test_scoring_memory_is_bounded_by_the_block_budget(self, monkeypatch):
+        # 4000 rows hold 16 MiB of member arrays (8·B·d·(1 + 2J) bytes per
+        # row): in one block the traced peak is 19 MiB, with a 1 MiB budget
+        # it is 1.4 MiB
+        rng = np.random.default_rng(17)
+        model = rpe.rpe_fit(two_class_data(rng, p=20),
+                            rpe.RpeConfig(B=20, d=5, family=STP, master_seed=29))
+        z_rows = rng.standard_normal((4000, 20))
+        monkeypatch.setattr(rpe, "_SCORE_BLOCK_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            rpe.rpe_scores_rows(model, z_rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
 
     def test_single_member_reduces_to_member_qda(self):
         data = two_class_data(np.random.default_rng(14))
@@ -464,6 +512,22 @@ class TestInvariances:
             # a dense BLAS product may round a training row differently
             # once the row sits at another position
             np.testing.assert_allclose(moved, base[:, order], rtol=1e-12, atol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(3, 12),
+           st.sampled_from([SN, STP]), st.randoms())
+    def test_within_class_row_permutation_keeps_scores(self, seed, n_classes, p, family,
+                                                       random):
+        blocks, z_rows = labeled_blocks(seed, n_classes, p)
+        shuffled = [block[random.sample(range(len(block)), len(block))] for block in blocks]
+        order = range(n_classes)
+        names = [f"c{j}" for j in order]
+        base = ensemble_scores(blocks, order, names, family, z_rows)
+        moved = ensemble_scores(shuffled, order, names, family, z_rows)
+        # class moments sum the rows in another order, so only rounding
+        # moves: 400 random cases moved at most 2.8e-14 of the largest score
+        np.testing.assert_allclose(moved, base, rtol=0,
+                                   atol=PERMUTATION_TOL * np.abs(base).max())
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(3, 12),

@@ -14,7 +14,7 @@ from rpeqda.errors import (
     RpeQdaError,
     UnknownScheme,
 )
-from rpeqda.rng import stream
+from rpeqda.rng import mix, stream
 from rpeqda.schemes import (
     build_example2,
     build_scheme,
@@ -157,6 +157,29 @@ class TestSampling:
         with pytest.raises(InvalidParameter) as err:
             sample(spec, 3, 2, seed=0)
         assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("blocks, error", [
+        (lambda: [np.empty((3, 32))], DimensionMismatch),              # 3 rows, n = 5
+        (lambda: [np.empty((2, 32)), np.empty((2, 32))], DimensionMismatch),
+        (lambda: [np.empty((5, 31))], InvalidParameter),                # wrong width
+        (lambda: [np.empty((5, 32), dtype=np.float32)], InvalidParameter),
+        (lambda: [np.empty((5, 64))[:, ::2]], InvalidParameter),        # strided
+        (lambda: [np.empty((32, 5)).T], InvalidParameter),              # Fortran order
+        (lambda: [np.empty(160)], InvalidParameter),
+        (lambda: [np.empty((5, 32)).tolist()], InvalidParameter),
+    ])
+    def test_bad_out_blocks_rejected(self, blocks, error):
+        spec = build_scheme("s3", 32)
+        with pytest.raises(error) as err:
+            sample(spec, 1, 5, seed=0, out=blocks())
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
+
+    def test_dataset_features_match_class_draws(self):
+        spec = build_scheme("s1", 64)
+        data = sample_dataset(spec, 6, seed=9)
+        for i, k in enumerate((1, 2)):
+            np.testing.assert_array_equal(data.features[6 * i:6 * (i + 1)],
+                                          sample(spec, k, 6, seed=mix(9, k)))
 
     @pytest.mark.parametrize("sid,p", [("s1", 64), ("s2", 64), ("s3", 64),
                                        ("s4", 64), ("example2", 64)])
