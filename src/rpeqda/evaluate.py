@@ -7,9 +7,9 @@ order):
 
 * replicate r, class k draws its data from mix(data_seed, r, k), train
   rows first, test rows after, from one stream; the two classes are drawn
-  on two threads, each straight into its own train and test rows, and
-  since each has its own stream and its own rows the result does not
-  depend on the schedule;
+  on two threads (``linalg._draw_in_parallel``), each straight into its
+  own train and test rows, and since each has its own stream and its own
+  rows the result does not depend on the schedule;
 * replicate r's projection master seed is mix(data_seed, r, PROJECTION_TAG);
 * LOOCV fold i redraws projections from mix(master_seed, i);
 * the s4 rotation uses mix(data_seed, STRUCTURE_TAG) unless a structure
@@ -18,14 +18,15 @@ order):
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import qda, rpe, schemes
 from .dataset import Dataset
 from .errors import EmptyInput, LengthMismatch, ReducedDimTooLarge, TooFewSamplesForClass
+from .linalg import _draw_in_parallel, _one_blas_thread
 from .rng import DRAW_TAG, PROJECTION_TAG, STRUCTURE_TAG, mix, stream
 
 
@@ -102,6 +103,7 @@ def _mean_sd(values):
     return mean, sd
 
 
+@_one_blas_thread()
 def run_scheme_experiment(scheme_id, p: int, n_train_per_class: int,
                           n_test_per_class: int, reps: int,
                           config: rpe.RpeConfig, data_seed: int,
@@ -133,20 +135,17 @@ def run_scheme_experiment(scheme_id, p: int, n_train_per_class: int,
     test_rows = np.empty((2 * n_test, spec.p))
     class_rows = [(train_rows[i * n_train:(i + 1) * n_train],
                    test_rows[i * n_test:(i + 1) * n_test]) for i in range(2)]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for r in range(1, reps + 1):
-            start = time.perf_counter()
-            draws = [pool.submit(schemes.sample, spec, k, n_train + n_test,
-                                 mix(data_seed, r, k), out=rows)
-                     for k, rows in zip((1, 2), class_rows)]
-            # class 1's error, if any, is raised first
-            for draw in draws:
-                draw.result()
-            rep_config = replace(config, master_seed=mix(data_seed, r, PROJECTION_TAG))
-            model = rpe.rpe_fit(Dataset(train_rows, train_labels), rep_config)
-            predictions = rpe.rpe_predict_rows(model, test_rows)
-            deltas.append(misclassification(predictions, test_truth))
-            timings.append(time.perf_counter() - start)
+    for r in range(1, reps + 1):
+        start = time.perf_counter()
+        # class 1's error, if any, is raised first
+        _draw_in_parallel(*[partial(schemes.sample, spec, k, n_train + n_test,
+                                    mix(data_seed, r, k), out=rows)
+                            for k, rows in zip((1, 2), class_rows)])
+        rep_config = replace(config, master_seed=mix(data_seed, r, PROJECTION_TAG))
+        model = rpe.rpe_fit(Dataset(train_rows, train_labels), rep_config)
+        predictions = rpe.rpe_predict_rows(model, test_rows)
+        deltas.append(misclassification(predictions, test_truth))
+        timings.append(time.perf_counter() - start)
 
     mean, sd = _mean_sd(deltas)
     echo = {
@@ -161,6 +160,7 @@ def run_scheme_experiment(scheme_id, p: int, n_train_per_class: int,
                       mean=mean, sd=sd, kl=kl, timing_seconds=tuple(timings))
 
 
+@_one_blas_thread()
 def loocv(data: Dataset, config: rpe.RpeConfig, identifier: str = "dataset") -> EvalReport:
     """Leave-one-out cross-validation of the ensemble classifier.
 
@@ -229,6 +229,7 @@ def _helmert_factor(rows: np.ndarray) -> np.ndarray:
     return reduced.T / math.sqrt(n - 1)
 
 
+@_one_blas_thread()
 def theta_lower_bound(data: Dataset) -> ThetaMatrix:
     """Sample estimate of the pairwise KL lower bound for every ordered
     class pair, via the low-rank identity
@@ -292,6 +293,7 @@ class AlignmentCheck:
         return out
 
 
+@_one_blas_thread()
 def theorem_alignment_check(spec: schemes.SchemeSpec, draws: int, seed: int,
                             d: int | None = None, B: int | None = None,
                             family=None) -> AlignmentCheck:

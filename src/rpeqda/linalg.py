@@ -11,11 +11,43 @@ and class) are built by :func:`cholesky_stack` in one LAPACK call, and their
 quadratic forms come from :func:`solve_quadratic_form_rows`, a forward
 substitution written in NumPy that runs over all factors at once instead of
 making one LAPACK triangular solve per factor.
+
+The package's thread policy lives here too, as two constants.  BLAS and
+LAPACK run on ``_BLAS_THREADS`` (one) thread inside every public call that
+reaches them in bulk: :func:`_one_blas_thread` sets numpy's OpenBLAS to
+one thread for the length of the call and gives the caller's setting back
+on return or on raise.  The work is thousands of tiny d x d factorizations
+and products of modest size, for which a BLAS thread pool costs more than
+it saves, and OpenBLAS can round a product differently on one thread and on
+several, so one thread also makes every result independent of
+``OPENBLAS_NUM_THREADS``.  Seeded draws that do not depend on one another
+(an ensemble's projection matrices, a replicate's two classes) run on
+``_DRAW_THREADS`` (two) threads through :func:`_draw_in_parallel`; each
+draw has its own counter-based Philox stream (Salmon et al., 2011) and
+writes only its own output, so the result does not depend on the schedule.
 """
+
+import contextlib
+import ctypes
+import os
+import threading
+from concurrent import futures
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
+
+_BLAS_THREADS = 1
+_DRAW_THREADS = 2
+
+# (get, set) thread-count entry points of the OpenBLAS numpy loads: the
+# 64-bit-integer scipy-openblas of numpy's wheels, or a system OpenBLAS.
+# scipy's own OpenBLAS (32-bit scipy-openblas) is left alone: rpeqda calls
+# it only from DenseCovariance.solve, which no scheme uses.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 # A Cholesky pivot at or below PIVOT_RTOL * max(diag) is treated as rank
 # deficiency rather than roundoff, so fits on degenerate projected
@@ -164,3 +196,122 @@ def orthonormal_columns(a: np.ndarray) -> np.ndarray:
     if np.any(np.abs(rdiag) < QR_RANK_RTOL * np.linalg.norm(a)):
         raise RankDeficient("matrix is numerically rank deficient")
     return q * np.sign(rdiag)
+
+
+class _LoadedLibrary(ctypes.Structure):
+    """Leading fields of ``struct dl_phdr_info``."""
+    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+
+def _loaded_openblas() -> list:
+    """``(get, set)`` thread-count functions of every OpenBLAS loaded in
+    this process that exposes one of ``_OPENBLAS_THREAD_SYMBOLS``; empty
+    where the loaded libraries cannot be listed (no ``dl_iterate_phdr``)."""
+    paths = []
+
+    def collect(info, size, data):
+        name = info.contents.name
+        if name and b"openblas" in os.path.basename(name).lower():
+            paths.append(os.fsdecode(name))
+        return 0
+
+    callback_type = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_LoadedLibrary),
+                                     ctypes.c_size_t, ctypes.c_void_p)
+    try:
+        iterate = ctypes.CDLL(None).dl_iterate_phdr
+    except (AttributeError, OSError, TypeError):
+        return []
+    iterate.argtypes = [callback_type, ctypes.c_void_p]
+    iterate.restype = ctypes.c_int
+    callback = callback_type(collect)
+    iterate(callback, None)
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for get_name, put_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, put_name):
+                get, put = getattr(lib, get_name), getattr(lib, put_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return found
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_libraries = None
+_blas_saved = ()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body (or, as a decorator, the function) with numpy's
+    OpenBLAS on ``_BLAS_THREADS`` threads.
+
+    The thread count is process-wide: only the outermost scope in the
+    process restores the count it found, and a depth counter under a lock
+    keeps nested scopes and scopes entered on other threads at one thread
+    until the last one leaves (BLAS the caller runs on other threads
+    meanwhile is on one thread too).  The libraries are looked up once, at
+    the first scope; where no controllable OpenBLAS is loaded the scope
+    does nothing.
+    """
+    global _blas_depth, _blas_libraries, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            if _blas_libraries is None:
+                _blas_libraries = _loaded_openblas()
+            _blas_saved = tuple(get() for get, _ in _blas_libraries)
+            for _, put in _blas_libraries:
+                put(_BLAS_THREADS)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (_, put), count in zip(_blas_libraries, _blas_saved):
+                    put(count)
+
+
+_draw_lock = threading.Lock()
+_draw_workers = None
+
+
+def _reset_after_fork():
+    # a forked child inherits the locks, possibly held by threads it does
+    # not have, and the draw pool without its worker thread
+    global _blas_lock, _draw_lock, _draw_workers
+    _blas_lock = threading.Lock()
+    _draw_lock = threading.Lock()
+    _draw_workers = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)
+
+
+def _draw_in_parallel(*tasks) -> list:
+    """Run the callables at once and return their results in order.
+
+    The first runs on the calling thread and the rest on the
+    ``_DRAW_THREADS - 1`` shared draw workers.  Every task has finished
+    when this returns or raises, and the error raised is that of the first
+    failing task in task order.  Tasks must not wait on other tasks.
+    """
+    global _draw_workers
+    with _draw_lock:
+        if _draw_workers is None:
+            _draw_workers = futures.ThreadPoolExecutor(
+                max_workers=_DRAW_THREADS - 1, thread_name_prefix="rpeqda-draw")
+        pending = [_draw_workers.submit(task) for task in tasks[1:]]
+    try:
+        first = tasks[0]()
+    finally:
+        futures.wait(pending)
+    return [first] + [done.result() for done in pending]

@@ -11,7 +11,9 @@ Two families are supported:
 Generation is a pure function of (family, d, p, seed): the Philox stream
 for ``seed`` is consumed in a fixed, documented order, so a stored seed
 regenerates the matrix bit-exactly.  No row normalization or
-orthogonalization is applied.
+orthogonalization is applied.  :func:`generate_many` draws a list of
+matrices on two threads, one contiguous half of the seeds each; since
+every matrix has its own stream, the list equals drawing them one by one.
 
 Projecting n rows through B sparse matrices costs one multiply-add per
 stored triplet per row, about n * B * d * sqrt(p) (Li, Hastie & Church,
@@ -30,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, EmptyInput, InvalidDimensions, UnknownProjectionFamily
+from .linalg import _draw_in_parallel
 from .rng import stream
 
 # Rows per sparse product.  Measured at p = 65536, B = 200, d = 10 and 400
@@ -95,6 +98,26 @@ def generate(family: ProjectionFamily, d: int, p: int, seed: int) -> ProjectionM
             family=family, d=d, p=p, seed=seed,
             rows=rows.astype(np.int64), cols=cols.astype(np.int64), signs=signs)
     raise UnknownProjectionFamily(f"unknown projection family {family!r}")
+
+
+def generate_many(family: ProjectionFamily, d: int, p: int, seeds) -> list:
+    """``[generate(family, d, p, seed) for seed in seeds]``, in seed order.
+
+    The calling thread draws the first half of the seeds and a draw worker
+    the second half (see :mod:`rpeqda.linalg`); an error from either half
+    reaches the caller, the first half's when both fail.
+    """
+    seeds = list(seeds)
+
+    def draw(part):
+        return [generate(family, d, p, seed) for seed in part]
+
+    if len(seeds) < 2:
+        return draw(seeds)
+    half = (len(seeds) + 1) // 2
+    first, second = _draw_in_parallel(lambda: draw(seeds[:half]),
+                                      lambda: draw(seeds[half:]))
+    return first + second
 
 
 def _stacked_csc(matrices) -> sp.csc_matrix:

@@ -34,6 +34,12 @@ memory stays bounded by that budget rather than growing with B.
 
 Non-finite input rows are rejected with ``NonFiniteInput`` rather than
 scored.
+
+Every draw of member matrices, first draws and redraws alike, is one
+``randproj.generate_many`` call, which splits the seeds over two threads.
+The public fit and scoring calls run BLAS on one thread
+(``linalg._one_blas_thread``), so their results do not depend on the
+caller's ``OPENBLAS_NUM_THREADS``.
 """
 
 import math
@@ -44,13 +50,16 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (
     DimensionMismatch,
+    InvalidParameter,
     MemberDegenerate,
     NonFiniteInput,
     ReducedDimTooLarge,
     TooFewClasses,
 )
+from .linalg import _one_blas_thread
 from .qda import class_moments, class_scores_rows, factor_covariances
-from .randproj import ProjectionFamily, generate, project_many
+# generate stays bound here too: perfbench's tracer self-test reads rpe.generate
+from .randproj import ProjectionFamily, generate, generate_many, project_many  # noqa: F401
 from .rng import mix
 
 DEFAULT_ENSEMBLE_SIZE = 200
@@ -79,7 +88,9 @@ _FINITE_CHECK_VALUES = 1 << 20
 class RpeConfig:
     """Ensemble hyperparameters.
 
-    ``d = None`` defers to :func:`default_reduced_dim` at fit time.
+    ``d = None`` defers to :func:`default_reduced_dim` at fit time.  A
+    config with ``B < 1``, ``d < 1`` or ``max_regen_retries < 0`` raises
+    ``InvalidParameter``.
     """
 
     B: int = DEFAULT_ENSEMBLE_SIZE
@@ -88,6 +99,15 @@ class RpeConfig:
     master_seed: int = 0
     ridge: float = 0.0
     max_regen_retries: int = 100
+
+    def __post_init__(self):
+        if self.B < 1:
+            raise InvalidParameter(f"need B >= 1, got B={self.B}")
+        if self.d is not None and self.d < 1:
+            raise InvalidParameter(f"need d >= 1, got d={self.d}")
+        if self.max_regen_retries < 0:
+            raise InvalidParameter(
+                f"need max_regen_retries >= 0, got {self.max_regen_retries}")
 
 
 @dataclass(frozen=True)
@@ -163,10 +183,12 @@ def _fit_stack(config: RpeConfig, p: int, members, moments) -> MemberStack:
     matrices = [None] * len(members)
     todo = np.arange(len(members))
     for attempt in range(config.max_regen_retries + 1):
-        for i in todo:
-            matrices[i] = generate(config.family, config.d, p,
-                                   member_seed(config.master_seed, members[i], attempt))
-        drawn_means, covs = moments([matrices[i] for i in todo])
+        drawn = generate_many(config.family, config.d, p,
+                              [member_seed(config.master_seed, members[i], attempt)
+                               for i in todo])
+        for i, matrix in zip(todo, drawn):
+            matrices[i] = matrix
+        drawn_means, covs = moments(drawn)
         drawn_lower, drawn_log_det, ok = factor_covariances(covs, config.ridge)
         if attempt == 0:
             means, lower, log_det = drawn_means, drawn_lower, drawn_log_det
@@ -191,6 +213,7 @@ def _accumulate_scores(acc: np.ndarray, stack: MemberStack, priors,
         acc += member_scores
 
 
+@_one_blas_thread()
 def rpe_fit(data: Dataset, config: RpeConfig) -> RpeModel:
     """Fit the ensemble on labeled data.
 
@@ -223,6 +246,7 @@ def rpe_fit(data: Dataset, config: RpeConfig) -> RpeModel:
                     priors=priors, members=members)
 
 
+@_one_blas_thread()
 def rpe_scores_rows(model: RpeModel, z_rows: np.ndarray) -> np.ndarray:
     """Averaged per-class scores for each row of an (m, p) array.
 
@@ -297,6 +321,7 @@ def population_stacks(populations, p: int, config: RpeConfig, rows: int = 0):
         yield _fit_stack(config, p, range(first, min(first + chunk, config.B + 1)), moments)
 
 
+@_one_blas_thread()
 def population_rpe_scores(populations, p: int, config: RpeConfig,
                           z_rows: np.ndarray) -> np.ndarray:
     """Averaged per-class scores under known parameters for each row of

@@ -386,6 +386,7 @@ class TestCommands:
         "schema", "not_json", "not_utf8", "json_list", "missing_key", "member_count",
         "matrix_d", "matrix_p", "factor_upper", "factor_diag", "factor_size", "family",
         "no_members", "one_class", "sparse_triplet", "prior_member", "prior_log",
+        "config_d", "config_retries",
     ])
     def test_bad_model_file_exits_nonzero_with_error_line(self, tmp_path, capsys, corrupt):
         train_csv = tmp_path / "train.csv"
@@ -421,6 +422,10 @@ class TestCommands:
             member["matrix"]["cols"][-1] = payload["p"]
         elif corrupt == "no_members":
             payload["config"]["B"], payload["members"] = 0, []
+        elif corrupt == "config_d":
+            payload["config"]["d"] = 0
+        elif corrupt == "config_retries":
+            payload["config"]["max_regen_retries"] = -1
         elif corrupt == "prior_member":
             # members must share each class's prior
             member["model"]["classes"][0]["prior"] = 0.25
@@ -472,6 +477,17 @@ class TestCommands:
         assert any("error: " in line for line in err.splitlines())
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_bad_reduced_dim_exits_1_with_error_line(self, tmp_path, capsys, command, d):
+        data = tmp_path / "train.csv"
+        write_toy_csv(data)
+        out = tmp_path / "out"
+        assert main([command, "--data", str(data), "--d", d, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_parse_error_exits_nonzero_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

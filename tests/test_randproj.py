@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -169,6 +171,67 @@ class TestProject:
         with pytest.raises(EmptyInput) as err:
             project_many([], np.zeros((2, 3)))
         assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
+
+
+def matrix_bytes(m):
+    """Every field of a ProjectionMatrix, arrays as (dtype, shape, bytes)."""
+    def field(v):
+        return (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+    return tuple(field(getattr(m, name)) for name in
+                 ("family", "d", "p", "seed", "entries", "rows", "cols", "signs"))
+
+
+class TestGenerateMany:
+    @pytest.mark.parametrize("family", [SN, STP])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 200])
+    def test_equals_one_by_one_in_seed_order(self, family, count):
+        seeds = [mix(31, b) for b in range(count)]
+        got = randproj.generate_many(family, 3, 40, seeds)
+        want = [generate(family, 3, 40, seed) for seed in seeds]
+        assert [matrix_bytes(m) for m in got] == [matrix_bytes(m) for m in want]
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_bad_dimension_raises_typed(self, count):
+        with pytest.raises(InvalidDimensions):
+            randproj.generate_many(SN, 0, 40, range(count))
+        with pytest.raises(InvalidDimensions):
+            randproj.generate_many(STP, 41, 40, range(count))
+
+    @pytest.mark.parametrize("bad", [(1,), (5,), (1, 5)])
+    def test_error_in_either_half_reaches_the_caller(self, monkeypatch, bad):
+        # seeds 0-3 are the calling thread's half, 4-6 the worker's; when
+        # both halves fail the first half's error is the one raised
+        errors = {seed: InvalidDimensions(f"seed {seed}") for seed in bad}
+        original = randproj.generate
+
+        def flaky(family, d, p, seed):
+            if seed in errors:
+                raise errors[seed]
+            return original(family, d, p, seed)
+
+        monkeypatch.setattr(randproj, "generate", flaky)
+        with pytest.raises(InvalidDimensions) as err:
+            randproj.generate_many(SN, 3, 40, range(7))
+        assert err.value is errors[bad[0]]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_draws_in_a_forked_child(self):
+        # the child inherits the started draw worker's pool but not its
+        # thread; a draw there must start a new worker, not wait forever
+        randproj.generate_many(SN, 3, 40, range(4))
+        child = multiprocessing.get_context("fork").Process(target=draw_four)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+
+def draw_four():
+    got = randproj.generate_many(SN, 3, 40, range(4))
+    if [m.seed for m in got] != [0, 1, 2, 3]:
+        raise SystemExit(1)
 
 
 class TestSeedMixing:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -76,6 +77,29 @@ class TestFit:
         assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
         with pytest.raises(InvalidParameter):
             rpe.population_rpe_scores(random_populations(rng, 5), 5, config, np.zeros(5))
+
+    @pytest.mark.parametrize("fields", [
+        {"B": 0}, {"B": -2}, {"d": 0}, {"d": -1}, {"max_regen_retries": -1},
+    ])
+    def test_bad_config_rejected_before_any_work(self, fields):
+        # B = 0 once gave NaN population scores, B = -2 zeros, d = 0 a bare
+        # ZeroDivisionError and max_regen_retries = -1 a MemberDegenerate
+        # without a draw; the config itself now refuses them
+        with pytest.raises(InvalidParameter) as err:
+            rpe.RpeConfig(**fields)
+        assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
+        config = rpe.RpeConfig(B=2, d=2)
+        with pytest.raises(InvalidParameter):
+            dataclasses.replace(config, **fields)
+
+    def test_smallest_valid_config(self):
+        rng = np.random.default_rng(1)
+        config = rpe.RpeConfig(B=1, d=1, max_regen_retries=0)
+        model = rpe.rpe_fit(two_class_data(rng), config)
+        assert len(model.members) == 1
+        scores = rpe.population_rpe_scores(random_populations(rng, 5), 5, config,
+                                           np.zeros(5))
+        assert np.isfinite(scores).all()
 
     def test_reduced_dim_too_large(self):
         data = two_class_data(np.random.default_rng(1), n_per_class=6)
