@@ -7,8 +7,8 @@ order):
 
 * replicate r, class k draws its data from mix(data_seed, r, k), train
   rows first, test rows after, from one stream; the two classes are drawn
-  on two threads (``linalg._draw_in_parallel``), each straight into its
-  own train and test rows, and since each has its own stream and its own
+  on two threads (``linalg._in_parallel``), each straight into its own
+  train and test rows, and since each has its own stream and its own
   rows the result does not depend on the schedule;
 * replicate r's projection master seed is mix(data_seed, r, PROJECTION_TAG);
 * LOOCV fold i redraws projections from mix(master_seed, i);
@@ -26,7 +26,7 @@ import numpy as np
 from . import qda, rpe, schemes
 from .dataset import Dataset
 from .errors import EmptyInput, LengthMismatch, ReducedDimTooLarge, TooFewSamplesForClass
-from .linalg import _draw_in_parallel, _one_blas_thread
+from .linalg import _in_parallel, _one_blas_thread
 from .rng import DRAW_TAG, PROJECTION_TAG, STRUCTURE_TAG, mix, stream
 
 
@@ -138,9 +138,9 @@ def run_scheme_experiment(scheme_id, p: int, n_train_per_class: int,
     for r in range(1, reps + 1):
         start = time.perf_counter()
         # class 1's error, if any, is raised first
-        _draw_in_parallel(*[partial(schemes.sample, spec, k, n_train + n_test,
-                                    mix(data_seed, r, k), out=rows)
-                            for k, rows in zip((1, 2), class_rows)])
+        _in_parallel(*[partial(schemes.sample, spec, k, n_train + n_test,
+                               mix(data_seed, r, k), out=rows)
+                       for k, rows in zip((1, 2), class_rows)])
         rep_config = replace(config, master_seed=mix(data_seed, r, PROJECTION_TAG))
         model = rpe.rpe_fit(Dataset(train_rows, train_labels), rep_config)
         predictions = rpe.rpe_predict_rows(model, test_rows)

@@ -20,11 +20,17 @@ on return or on raise.  The work is thousands of tiny d x d factorizations
 and products of modest size, for which a BLAS thread pool costs more than
 it saves, and OpenBLAS can round a product differently on one thread and on
 several, so one thread also makes every result independent of
-``OPENBLAS_NUM_THREADS``.  Seeded draws that do not depend on one another
-(an ensemble's projection matrices, a replicate's two classes) run on
-``_DRAW_THREADS`` (two) threads through :func:`_draw_in_parallel`; each
-draw has its own counter-based Philox stream (Salmon et al., 2011) and
-writes only its own output, so the result does not depend on the schedule.
+``OPENBLAS_NUM_THREADS``.  Work that splits into independent parts runs on
+``_WORKER_THREADS`` (two) threads, the caller and one shared worker,
+through :func:`_in_parallel`.  Seeded draws that do not depend on one
+another (a replicate's two classes) are such parts: each draw has its own
+counter-based Philox stream (Salmon et al., 2011) and writes only its own
+output.  Row work is split by :func:`_in_halves` into two contiguous halves
+of whole pieces, one per thread: an ensemble's projection matrices (half
+of the seeds each), the sparse projection (half of the row blocks each)
+and the finite-input scans (half of the scan steps each).  Each half
+computes what the whole would have computed for its rows, so no result
+depends on the schedule.
 """
 
 import contextlib
@@ -38,7 +44,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
 
 _BLAS_THREADS = 1
-_DRAW_THREADS = 2
+_WORKER_THREADS = 2
 
 # (get, set) thread-count entry points of the OpenBLAS numpy loads: the
 # 64-bit-integer scipy-openblas of numpy's wheels, or a system OpenBLAS.
@@ -279,39 +285,55 @@ def _one_blas_thread():
                     put(count)
 
 
-_draw_lock = threading.Lock()
-_draw_workers = None
+_worker_lock = threading.Lock()
+_workers = None
 
 
 def _reset_after_fork():
     # a forked child inherits the locks, possibly held by threads it does
-    # not have, and the draw pool without its worker thread
-    global _blas_lock, _draw_lock, _draw_workers
+    # not have, and the worker pool without its worker thread
+    global _blas_lock, _worker_lock, _workers
     _blas_lock = threading.Lock()
-    _draw_lock = threading.Lock()
-    _draw_workers = None
+    _worker_lock = threading.Lock()
+    _workers = None
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
-def _draw_in_parallel(*tasks) -> list:
+def _in_parallel(*tasks) -> list:
     """Run the callables at once and return their results in order.
 
     The first runs on the calling thread and the rest on the
-    ``_DRAW_THREADS - 1`` shared draw workers.  Every task has finished
-    when this returns or raises, and the error raised is that of the first
+    ``_WORKER_THREADS - 1`` shared workers.  Every task has finished when
+    this returns or raises, and the error raised is that of the first
     failing task in task order.  Tasks must not wait on other tasks.
     """
-    global _draw_workers
-    with _draw_lock:
-        if _draw_workers is None:
-            _draw_workers = futures.ThreadPoolExecutor(
-                max_workers=_DRAW_THREADS - 1, thread_name_prefix="rpeqda-draw")
-        pending = [_draw_workers.submit(task) for task in tasks[1:]]
+    global _workers
+    with _worker_lock:
+        if _workers is None:
+            _workers = futures.ThreadPoolExecutor(
+                max_workers=_WORKER_THREADS - 1, thread_name_prefix="rpeqda-worker")
+        pending = [_workers.submit(task) for task in tasks[1:]]
     try:
         first = tasks[0]()
     finally:
         futures.wait(pending)
     return [first] + [done.result() for done in pending]
+
+
+def _in_halves(task, n: int, unit: int = 1) -> list:
+    """Run ``task(lo, hi)`` over ``[0, n)`` in two contiguous halves of
+    whole ``unit``-sized pieces and return the results in row order.
+
+    The first half, the larger one when the piece count is odd, runs on
+    the calling thread and the second on the worker, as in
+    :func:`_in_parallel`; with fewer than two pieces the caller runs
+    ``task(0, n)`` alone and the result list has one entry.
+    """
+    pieces = -(-n // unit)
+    if pieces < 2:
+        return [task(0, n)]
+    mid = (pieces + 1) // 2 * unit
+    return _in_parallel(lambda: task(0, mid), lambda: task(mid, n))

@@ -20,9 +20,12 @@ stored triplet per row, about n * B * d * sqrt(p) (Li, Hastie & Church,
 2006, "Very sparse random projections"), plus one pass over the n x p
 input to transpose it.  The triplets are stacked into one CSC matrix per
 call and applied to ``_SPARSE_BLOCK_ROWS`` rows at a time, so the extra
-memory is one transposed row block, never a copy of the whole input.
-Every output still sums its nonzeros in column order, so the result does
-not depend on the block size.
+memory is one transposed row block per thread, never a copy of the whole
+input.  The cost is split over two threads: the calling thread takes the
+first half of the row blocks and the worker of :mod:`rpeqda.linalg` the
+second, each writing its own columns of one output.  Every output still
+sums its nonzeros in column order, so the result does not depend on the
+block size or on the split.
 """
 
 from dataclasses import dataclass
@@ -32,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, EmptyInput, InvalidDimensions, UnknownProjectionFamily
-from .linalg import _draw_in_parallel
+from .linalg import _in_halves
 from .rng import stream
 
 # Rows per sparse product.  Measured at p = 65536, B = 200, d = 10 and 400
@@ -103,21 +106,14 @@ def generate(family: ProjectionFamily, d: int, p: int, seed: int) -> ProjectionM
 def generate_many(family: ProjectionFamily, d: int, p: int, seeds) -> list:
     """``[generate(family, d, p, seed) for seed in seeds]``, in seed order.
 
-    The calling thread draws the first half of the seeds and a draw worker
-    the second half (see :mod:`rpeqda.linalg`); an error from either half
+    The calling thread draws the first half of the seeds and the worker
+    the second half (``linalg._in_halves``); an error from either half
     reaches the caller, the first half's when both fail.
     """
     seeds = list(seeds)
-
-    def draw(part):
-        return [generate(family, d, p, seed) for seed in part]
-
-    if len(seeds) < 2:
-        return draw(seeds)
-    half = (len(seeds) + 1) // 2
-    first, second = _draw_in_parallel(lambda: draw(seeds[:half]),
-                                      lambda: draw(seeds[half:]))
-    return first + second
+    halves = _in_halves(
+        lambda lo, hi: [generate(family, d, p, seed) for seed in seeds[lo:hi]], len(seeds))
+    return [matrix for half in halves for matrix in half]
 
 
 def _stacked_csc(matrices) -> sp.csc_matrix:
@@ -131,13 +127,18 @@ def _stacked_csc(matrices) -> sp.csc_matrix:
 
 def _sparse_product(matrices, x: np.ndarray) -> np.ndarray:
     """(B * d, n) product of the stacked sparse matrices with x.T, one
-    block of ``_SPARSE_BLOCK_ROWS`` rows of x at a time."""
+    block of ``_SPARSE_BLOCK_ROWS`` rows of x at a time, the first half of
+    the blocks on the calling thread and the second on the worker."""
     stacked = _stacked_csc(matrices)
     n = x.shape[0]
     out = np.empty((stacked.shape[0], n))
-    for lo in range(0, n, _SPARSE_BLOCK_ROWS):
-        hi = min(lo + _SPARSE_BLOCK_ROWS, n)
-        out[:, lo:hi] = stacked @ np.ascontiguousarray(x[lo:hi].T)
+
+    def blocks(lo, hi):
+        for start in range(lo, hi, _SPARSE_BLOCK_ROWS):
+            stop = min(start + _SPARSE_BLOCK_ROWS, hi)
+            out[:, start:stop] = stacked @ np.ascontiguousarray(x[start:stop].T)
+
+    _in_halves(blocks, n, _SPARSE_BLOCK_ROWS)
     return out
 
 
@@ -170,8 +171,9 @@ def project_many(matrices, x: np.ndarray) -> np.ndarray:
     family.  Dense payloads are stacked into a single matmul against x.T.
     Sparse triplets are stacked into one CSC matrix and applied to
     contiguous blocks of ``_SPARSE_BLOCK_ROWS`` transposed rows: about
-    n * B * d * sqrt(p) multiply-adds plus one O(n * p) transpose, with one
-    row block, not a copy of x, as the extra memory.
+    n * B * d * sqrt(p) multiply-adds plus one O(n * p) transpose, split
+    over two threads by halves of the row blocks, with one row block per
+    thread, not a copy of x, as the extra memory.
     """
     x = np.asarray(x, dtype=np.float64)
     b = len(matrices)

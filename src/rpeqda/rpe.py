@@ -33,7 +33,9 @@ chunk holds as many members as fit in ``POPULATION_CHUNK_BYTES``, so
 memory stays bounded by that budget rather than growing with B.
 
 Non-finite input rows are rejected with ``NonFiniteInput`` rather than
-scored.
+scored.  The scan reads ``_FINITE_CHECK_VALUES`` values at a time, the
+first half of its steps on the calling thread and the second on the
+worker of :mod:`rpeqda.linalg`, and names the first bad row either way.
 
 Every draw of member matrices, first draws and redraws alike, is one
 ``randproj.generate_many`` call, which splits the seeds over two threads.
@@ -56,7 +58,7 @@ from .errors import (
     ReducedDimTooLarge,
     TooFewClasses,
 )
-from .linalg import _one_blas_thread
+from .linalg import _in_halves, _one_blas_thread
 from .qda import class_moments, class_scores_rows, factor_covariances
 # generate stays bound here too: perfbench's tracer self-test reads rpe.generate
 from .randproj import ProjectionFamily, generate, generate_many, project_many  # noqa: F401
@@ -160,13 +162,20 @@ def member_seed(master_seed: int, b: int, attempt: int = 0) -> int:
 
 def _require_finite(x: np.ndarray, what: str) -> None:
     """Raise NonFiniteInput naming the first row of the 2-d ``x`` that
-    holds a NaN or an infinity."""
+    holds a NaN or an infinity.  Each half of the rows returns its own
+    first bad row, and the calling thread's half comes first."""
     step = max(1, _FINITE_CHECK_VALUES // max(1, x.shape[1]))
-    for lo in range(0, x.shape[0], step):
-        bad = ~np.isfinite(x[lo:lo + step]).all(axis=1)
-        if bad.any():
-            raise NonFiniteInput(
-                f"{what}: row {lo + int(np.argmax(bad))} holds a non-finite value")
+
+    def first_bad(lo, hi):
+        for start in range(lo, hi, step):
+            bad = ~np.isfinite(x[start:min(start + step, hi)]).all(axis=1)
+            if bad.any():
+                return start + int(np.argmax(bad))
+        return None
+
+    for row in _in_halves(first_bad, x.shape[0], step):
+        if row is not None:
+            raise NonFiniteInput(f"{what}: row {row} holds a non-finite value")
 
 
 def _fit_stack(config: RpeConfig, p: int, members, moments) -> MemberStack:

@@ -154,7 +154,10 @@ class TestProject:
             np.testing.assert_allclose(stacked[i], project(m, x),
                                        rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 5])
+    # from BLOCK + 1 rows on, the blocks are split into two halves, one per
+    # thread: one extra piece, an even split and two odd ones
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
+                                   2 * BLOCK + 5, 3 * BLOCK + 1])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_sparse_blocks_match_single_csr_product(self, n, layout):
         p = 300
@@ -216,8 +219,8 @@ class TestGenerateMany:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_draws_in_a_forked_child(self):
-        # the child inherits the started draw worker's pool but not its
-        # thread; a draw there must start a new worker, not wait forever
+        # the child inherits the started worker's pool but not its thread;
+        # a draw there must start a new worker, not wait forever
         randproj.generate_many(SN, 3, 40, range(4))
         child = multiprocessing.get_context("fork").Process(target=draw_four)
         child.start()

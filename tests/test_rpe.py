@@ -244,6 +244,27 @@ class TestScores:
         with pytest.raises(NonFiniteInput):
             rpe.rpe_scores(model, np.full(5, np.inf))
 
+    # With 2-row scan steps the calling thread scans rows 0-29 of the 60
+    # training rows and the worker rows 30-59; of 13 rows to score (7
+    # steps) the caller scans rows 0-7 and the worker rows 8-12.
+    @pytest.mark.parametrize("where, bad, named", [
+        ("training features", (7, 41), 7), ("training features", (29, 30), 29),
+        ("training features", (30,), 30), ("training features", (30, 59), 30),
+        ("training features", (59,), 59),
+        ("rows to score", (3, 9), 3), ("rows to score", (8,), 8),
+        ("rows to score", (8, 12), 8), ("rows to score", (12,), 12)])
+    def test_first_bad_row_named_across_scan_halves(self, monkeypatch, where, bad, named):
+        monkeypatch.setattr(rpe, "_FINITE_CHECK_VALUES", 10)
+        data = two_class_data(np.random.default_rng(14))
+        model = rpe.rpe_fit(data, rpe.RpeConfig(B=2, d=3))
+        x = data.features if where == "training features" else np.zeros((13, 5))
+        x[list(bad), 2] = np.nan
+        with pytest.raises(NonFiniteInput, match=f"{where}: row {named} holds"):
+            if where == "training features":
+                rpe.rpe_fit(data, rpe.RpeConfig(B=2, d=3))
+            else:
+                rpe.rpe_scores_rows(model, x)
+
     @staticmethod
     def _set_block_rows(monkeypatch, rows, model):
         row_bytes = 8 * len(model.members) * model.config.d * (1 + 2 * len(model.class_labels))

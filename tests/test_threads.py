@@ -1,11 +1,13 @@
 """The package's thread policy: BLAS on one thread inside every public
-call, with the caller's setting given back, and results that do not depend
-on ``OPENBLAS_NUM_THREADS``."""
+call, with the caller's setting given back, results that do not depend on
+``OPENBLAS_NUM_THREADS``, and row work split into two halves, one on the
+calling thread and one on the worker."""
 
 import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +154,58 @@ class TestBlasScope:
         assert outside == []
         assert linalg._blas_depth == 0
         assert blas_threads() == [CALLER_THREADS] * len(LIBRARIES)
+
+
+class TestInHalves:
+    @staticmethod
+    def run(n, unit):
+        """The (lo, hi, on the caller) of every task call, in row order."""
+        caller = threading.get_ident()
+        return linalg._in_halves(
+            lambda lo, hi: (lo, hi, threading.get_ident() == caller), n, unit)
+
+    @pytest.mark.parametrize("n, unit", [(0, 1), (0, 16), (1, 1), (3, 16), (16, 16)])
+    def test_fewer_than_two_pieces_run_on_the_caller_alone(self, monkeypatch, n, unit):
+        def no_worker(*tasks):
+            raise AssertionError("a task went to the worker")
+
+        monkeypatch.setattr(linalg, "_in_parallel", no_worker)
+        assert self.run(n, unit) == [(0, n, True)]
+
+    @pytest.mark.parametrize("n, unit, mid", [
+        (2, 1, 1), (7, 1, 4), (8, 1, 4), (17, 16, 16), (32, 16, 16), (33, 16, 32),
+        (49, 16, 32), (65, 16, 48), (3, 2, 2)])
+    def test_first_half_takes_the_larger_share_of_whole_pieces(self, n, unit, mid):
+        assert self.run(n, unit) == [(0, mid, True), (mid, n, False)]
+
+    @pytest.mark.parametrize("failing", [("first",), ("second",), ("first", "second")])
+    def test_error_of_the_callers_half_comes_first(self, failing):
+        errors = {"first": ValueError("first half"), "second": KeyError("second half")}
+
+        def task(lo, hi):
+            half = "first" if lo == 0 else "second"
+            if half in failing:
+                raise errors[half]
+            return half
+
+        with pytest.raises((ValueError, KeyError)) as err:
+            linalg._in_halves(task, 10)
+        assert err.value is errors[failing[0]]
+
+    def test_both_halves_have_finished_when_it_raises(self):
+        # the caller's half fails at once while the worker's half is still
+        # sleeping; its write must land before the caller sees the error
+        written = []
+
+        def task(lo, hi):
+            if lo == 0:
+                raise ValueError("first half")
+            time.sleep(0.3)
+            written.append((lo, hi))
+
+        with pytest.raises(ValueError):
+            linalg._in_halves(task, 4)
+        assert written == [(2, 4)]
 
 
 # A known-parameter alignment check small enough to run twice in a test.
