@@ -4,8 +4,9 @@ Each class represents a symmetric positive-definite p x p matrix through
 closed forms, supporting exactly the operations the samplers, the
 divergence oracle and the population-mode classifier need:
 
-* ``matvec(V)``    -- Sigma @ V for V of shape (p,) or (p, k)
-* ``solve(V)``     -- Sigma^{-1} @ V, exact (no iterative methods)
+* ``matvec(V)``    -- Sigma @ V for columns V of shape (p, k)
+* ``solve(V)``     -- Sigma^{-1} @ V for columns V of shape (p, k), exact
+                      (no iterative methods)
 * ``log_det()``    -- exact log-determinant
 * ``fill(g, outs)`` -- overwrite the C-contiguous (n_i, p) row blocks
                       ``outs``, in order, with one draw of sum(n_i) rows
@@ -14,6 +15,10 @@ divergence oracle and the population-mode classifier need:
 * ``sample(n, g)`` -- the same draw of n rows as a new array: allocate,
                       then ``fill``
 * ``dense()``      -- explicit materialization, intended for p <= 2048
+
+A scalar multiple of a handle is always ``ScaledCovariance(base, c)``,
+never a parameter of the base, so the divergence oracle can recognise a
+scale pair by unwrapping one handle type.
 
 Sampling consumes the supplied Generator in a fixed documented order, so a
 seed fully determines the draw, and ``fill`` consumes it exactly as
@@ -28,9 +33,9 @@ two AR forms, scaling) draw into the blocks and transform them in place,
 ``_SAMPLE_BLOCK_ROWS`` rows at a time where they need a temporary.  A
 block diagonal draws each block through temporaries of that block's width,
 because ``standard_normal(out=)`` needs contiguous memory.  Handles that
-transform with a BLAS product (dense, rotated spike, spiked identity with
-r > 0) draw all rows into one temporary and copy it out, because a product
-over fewer rows can round differently.
+transform with a BLAS product (dense, rotated spike, spiked identity) draw
+all rows into one temporary and copy it out, because a product over fewer
+rows can round differently.
 """
 
 import math
@@ -49,16 +54,8 @@ DENSE_FALLBACK_LIMIT = 2048
 # Rows per block where a sampler needs a temporary the width of its draw.
 _SAMPLE_BLOCK_ROWS = 16
 
-
-def _as_columns(v):
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        return v[:, None], True
-    return v, False
-
-
-def _restore(out, was_vector):
-    return out[:, 0] if was_vector else out
+# Identity columns per step of the generic trace sweep.
+_TRACE_CHUNK = 256
 
 
 def _total_rows(outs):
@@ -116,13 +113,10 @@ class DenseCovariance(_Sampler):
         return self._factor
 
     def matvec(self, v):
-        cols, vec = _as_columns(v)
-        return _restore(self.matrix @ cols, vec)
+        return self.matrix @ v
 
     def solve(self, v):
-        cols, vec = _as_columns(v)
-        out = cho_solve((self._chol()[0], True), cols, check_finite=False)
-        return _restore(out, vec)
+        return cho_solve((self._chol()[0], True), v, check_finite=False)
 
     def log_det(self):
         return self._chol()[1]
@@ -140,7 +134,8 @@ class IdentityCovariance(_Sampler):
         self.p = p
 
     def matvec(self, v):
-        return np.array(v, dtype=np.float64)
+        """``v`` itself as float64, without copying."""
+        return np.asarray(v, dtype=np.float64)
 
     solve = matvec
 
@@ -168,15 +163,11 @@ class EquiCorrelation(_Sampler):
         self.rho = rho
 
     def matvec(self, v):
-        cols, vec = _as_columns(v)
-        out = (1.0 - self.rho) * cols + self.rho * cols.sum(axis=0)
-        return _restore(out, vec)
+        return (1.0 - self.rho) * v + self.rho * v.sum(axis=0)
 
     def solve(self, v):
-        cols, vec = _as_columns(v)
         shrink = self.rho / (1.0 - self.rho + self.p * self.rho)
-        out = (cols - shrink * cols.sum(axis=0)) / (1.0 - self.rho)
-        return _restore(out, vec)
+        return (v - shrink * v.sum(axis=0)) / (1.0 - self.rho)
 
     def log_det(self):
         return (self.p - 1) * math.log(1.0 - self.rho) + math.log(
@@ -195,97 +186,85 @@ class EquiCorrelation(_Sampler):
         return (1.0 - self.rho) * np.eye(self.p) + self.rho * np.ones((self.p, self.p))
 
 
+def _ar_matvec(rho, cols):
+    """T @ cols for the AR(1) correlation T = ((rho^|i-j|))."""
+    if len(cols) == 1:
+        return cols.copy()
+    forward = lfilter([0.0, rho], [1.0, -rho], cols, axis=0)
+    backward = lfilter([0.0, rho], [1.0, -rho], cols[::-1], axis=0)[::-1]
+    return cols + forward + backward
+
+
+def _ar_solve(rho, cols):
+    """T^{-1} @ cols through the tridiagonal inverse of T."""
+    if len(cols) == 1:
+        return cols.copy()
+    c = 1.0 / (1.0 - rho * rho)
+    out = c * (1.0 + rho * rho) * cols
+    out[0] = c * cols[0]
+    out[-1] = c * cols[-1]
+    out[1:] -= c * rho * cols[:-1]
+    out[:-1] -= c * rho * cols[1:]
+    return out
+
+
 class ArProcessCovariance(_Sampler):
-    """Sigma = scale * ((rho^|i-j|)), the stationary AR(1) covariance.
+    """Sigma = T = ((rho^|i-j|)), the stationary AR(1) correlation.
 
     matvec runs two geometric recursions (O(p)); solve applies the exact
-    tridiagonal inverse of the correlation matrix; sampling runs the AR
-    recursion x_1 = e_1, x_i = rho x_{i-1} + sqrt(1 - rho^2) e_i.
+    tridiagonal inverse; sampling runs the AR recursion x_1 = e_1,
+    x_i = rho x_{i-1} + sqrt(1 - rho^2) e_i.
     """
 
-    def __init__(self, p, rho, scale=1.0):
+    def __init__(self, p, rho):
         if not -1.0 < rho < 1.0:
             raise InvalidCovariance(f"need |rho| < 1, got {rho}")
-        if scale <= 0.0:
-            raise InvalidCovariance(f"need scale > 0, got {scale}")
         self.p = p
         self.rho = rho
-        self.scale = scale
-
-    def _corr_matvec(self, cols):
-        if self.p == 1:
-            return cols.copy()
-        rho = self.rho
-        forward = lfilter([0.0, rho], [1.0, -rho], cols, axis=0)
-        backward = lfilter([0.0, rho], [1.0, -rho], cols[::-1], axis=0)[::-1]
-        return cols + forward + backward
-
-    def _corr_solve(self, cols):
-        if self.p == 1:
-            return cols.copy()
-        rho = self.rho
-        c = 1.0 / (1.0 - rho * rho)
-        out = c * (1.0 + rho * rho) * cols
-        out[0] = c * cols[0]
-        out[-1] = c * cols[-1]
-        out[1:] -= c * rho * cols[:-1]
-        out[:-1] -= c * rho * cols[1:]
-        return out
 
     def matvec(self, v):
-        cols, vec = _as_columns(v)
-        return _restore(self.scale * self._corr_matvec(cols), vec)
+        return _ar_matvec(self.rho, v)
 
     def solve(self, v):
-        cols, vec = _as_columns(v)
-        return _restore(self._corr_solve(cols) / self.scale, vec)
+        return _ar_solve(self.rho, v)
 
     def log_det(self):
-        return self.p * math.log(self.scale) + (self.p - 1) * math.log(
-            1.0 - self.rho * self.rho)
+        return (self.p - 1) * math.log(1.0 - self.rho * self.rho)
 
     def fill(self, rng, outs):
         for x in _normal_blocks(rng, outs):
             if self.p > 1:
                 x[:, 1:] *= math.sqrt(1.0 - self.rho * self.rho)
                 x[...] = lfilter([1.0], [1.0, -self.rho], x, axis=1)
-            x *= math.sqrt(self.scale)
 
     def dense(self):
         idx = np.arange(self.p)
-        return self.scale * self.rho ** np.abs(idx[:, None] - idx[None, :])
+        return self.rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 class InverseArCovariance(_Sampler):
-    """Sigma = scale * T^{-1} where T = ((rho^|i-j|)).
+    """Sigma = T^{-1} where T = ((rho^|i-j|)).
 
-    The inverse correlation T^{-1} is tridiagonal, so Sigma itself is
-    tridiagonal; solve applies T directly via the AR recursions, and
-    sampling solves L' x = z against the closed-form AR Cholesky factor of
-    T (an O(p) bidiagonal application).
+    T^{-1} is tridiagonal, so Sigma itself is tridiagonal; solve applies T
+    directly via the AR recursions, and sampling solves L' x = z against
+    the closed-form AR Cholesky factor of T (an O(p) bidiagonal
+    application).
     """
 
-    def __init__(self, p, rho, scale=1.0):
+    def __init__(self, p, rho):
         if not -1.0 < rho < 1.0:
             raise InvalidCovariance(f"need |rho| < 1, got {rho}")
-        if scale <= 0.0:
-            raise InvalidCovariance(f"need scale > 0, got {scale}")
         self.p = p
         self.rho = rho
-        self.scale = scale
-        self._corr = ArProcessCovariance(p, rho)
 
     def matvec(self, v):
-        cols, vec = _as_columns(v)
-        return _restore(self.scale * self._corr._corr_solve(cols), vec)
+        return _ar_solve(self.rho, v)
 
     def solve(self, v):
-        cols, vec = _as_columns(v)
-        return _restore(self._corr._corr_matvec(cols) / self.scale, vec)
+        return _ar_matvec(self.rho, v)
 
     def log_det(self):
-        return self.p * math.log(self.scale) - (self.p - 1) * math.log(
-            1.0 - self.rho * self.rho)
+        return -((self.p - 1) * math.log(1.0 - self.rho * self.rho))
 
     def fill(self, rng, outs):
         # x_i = (z_i - rho z_{i+1}) / s with x_1 = z_1 - (rho / s) z_2 and
@@ -297,13 +276,12 @@ class InverseArCovariance(_Sampler):
                 z[:, 1:-1] -= self.rho * z[:, 2:]
                 z[:, 1:] /= s
                 z[:, 0] = first
-            z *= math.sqrt(self.scale)
 
     def dense(self):
         if self.p == 1:
-            return np.array([[self.scale]])
+            return np.array([[1.0]])
         rho = self.rho
-        c = self.scale / (1.0 - rho * rho)
+        c = 1.0 / (1.0 - rho * rho)
         out = np.zeros((self.p, self.p))
         np.fill_diagonal(out, c * (1.0 + rho * rho))
         out[0, 0] = out[-1, -1] = c
@@ -324,14 +302,10 @@ class RotatedSpike(_Sampler):
         self.p = self.basis.shape[0]
 
     def matvec(self, v):
-        cols, vec = _as_columns(v)
-        out = self.basis @ (self.lam[:, None] * (self.basis.T @ cols))
-        return _restore(out, vec)
+        return self.basis @ (self.lam[:, None] * (self.basis.T @ v))
 
     def solve(self, v):
-        cols, vec = _as_columns(v)
-        out = self.basis @ ((self.basis.T @ cols) / self.lam[:, None])
-        return _restore(out, vec)
+        return self.basis @ ((self.basis.T @ v) / self.lam[:, None])
 
     def log_det(self):
         return float(np.sum(np.log(self.lam)))
@@ -347,8 +321,6 @@ class RotatedSpike(_Sampler):
 class SpikedIdentity(_Sampler):
     """Sigma = I_p + P diag(gamma) P' with P a p x r orthonormal block.
 
-    r may be 0, in which case Sigma is the identity and ``matvec`` and
-    ``solve`` return their argument as a float64 array, without copying.
     Inversion and square roots act only on the r-dimensional spike, so all
     operations cost O(p * r).
     """
@@ -363,27 +335,16 @@ class SpikedIdentity(_Sampler):
             raise InvalidCovariance("spike spectrum must keep Sigma positive definite")
 
     def matvec(self, v):
-        if self.gamma.size == 0:
-            return np.asarray(v, dtype=np.float64)
-        cols, vec = _as_columns(v)
-        out = cols + self.basis @ (self.gamma[:, None] * (self.basis.T @ cols))
-        return _restore(out, vec)
+        return v + self.basis @ (self.gamma[:, None] * (self.basis.T @ v))
 
     def solve(self, v):
-        if self.gamma.size == 0:
-            return np.asarray(v, dtype=np.float64)
-        cols, vec = _as_columns(v)
         shrink = self.gamma / (1.0 + self.gamma)
-        out = cols - self.basis @ (shrink[:, None] * (self.basis.T @ cols))
-        return _restore(out, vec)
+        return v - self.basis @ (shrink[:, None] * (self.basis.T @ v))
 
     def log_det(self):
         return float(np.sum(np.log1p(self.gamma)))
 
     def fill(self, rng, outs):
-        if self.gamma.size == 0:
-            _draw(rng, outs)
-            return
         z = rng.standard_normal((_total_rows(outs), self.p))
         stretch = np.sqrt(1.0 + self.gamma) - 1.0
         z += ((z @ self.basis) * stretch) @ self.basis.T
@@ -443,12 +404,10 @@ class BlockDiagonal(_Sampler):
         return out
 
     def matvec(self, v):
-        cols, vec = _as_columns(v)
-        return _restore(self._apply(cols, lambda b, c: b.matvec(c)), vec)
+        return self._apply(v, lambda b, c: b.matvec(c))
 
     def solve(self, v):
-        cols, vec = _as_columns(v)
-        return _restore(self._apply(cols, lambda b, c: b.solve(c)), vec)
+        return self._apply(v, lambda b, c: b.solve(c))
 
     def log_det(self):
         return float(sum(b.log_det() for b in self.blocks))
@@ -473,7 +432,7 @@ def _unwrap_scale(cov):
     return cov, 1.0
 
 
-def trace_solve_product(a, b, chunk=256):
+def trace_solve_product(a, b):
     """Exact trace of ``a^{-1} b`` for two structured covariances.
 
     Scalar-multiple pairs (Sigma_b = c Sigma_a) reduce to ``c * p`` in
@@ -492,8 +451,8 @@ def trace_solve_product(a, b, chunk=256):
         raise InvalidParameter(
             f"generic trace product limited to p <= {DENSE_FALLBACK_LIMIT}, got {p}")
     total = 0.0
-    for lo in range(0, p, chunk):
-        hi = min(lo + chunk, p)
+    for lo in range(0, p, _TRACE_CHUNK):
+        hi = min(lo + _TRACE_CHUNK, p)
         eye_cols = np.zeros((p, hi - lo))
         eye_cols[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
         solved = a.solve(b.matvec(eye_cols))

@@ -168,8 +168,9 @@ def solve_quadratic_form_rows(lower: np.ndarray, rows: np.ndarray) -> np.ndarray
     return qf
 
 
-def qr_orthogonal(a: np.ndarray) -> np.ndarray:
-    """Orthogonal factor of a square full-rank matrix.
+def orthonormal_columns(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis for the column span of a tall or square full-rank
+    matrix (the orthogonal factor itself when ``a`` is square).
 
     Uses the sign convention that makes the upper-triangular factor have a
     strictly positive diagonal, which pins down Q uniquely.
@@ -180,24 +181,9 @@ def qr_orthogonal(a: np.ndarray) -> np.ndarray:
         If any diagonal of R falls below ``QR_RANK_RTOL * ||a||_F``.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    q, r = np.linalg.qr(a)
-    rdiag = np.diagonal(r)
-    if np.any(np.abs(rdiag) < QR_RANK_RTOL * np.linalg.norm(a)):
-        raise RankDeficient("matrix is numerically rank deficient")
-    return q * np.sign(rdiag)
-
-
-def orthonormal_columns(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column span of a tall full-rank matrix,
-    with the same positive-diagonal sign convention as ``qr_orthogonal``."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape[1] == 0:
-        return a.copy()
-    if a.shape[0] < a.shape[1]:
+    if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise DimensionMismatch(f"expected rows >= cols, got {a.shape}")
-    q, r = np.linalg.qr(a, mode="reduced")
+    q, r = np.linalg.qr(a)
     rdiag = np.diagonal(r)
     if np.any(np.abs(rdiag) < QR_RANK_RTOL * np.linalg.norm(a)):
         raise RankDeficient("matrix is numerically rank deficient")

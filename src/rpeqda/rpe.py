@@ -334,17 +334,14 @@ def population_stacks(populations, p: int, config: RpeConfig, rows: int = 0):
 def population_rpe_scores(populations, p: int, config: RpeConfig,
                           z_rows: np.ndarray) -> np.ndarray:
     """Averaged per-class scores under known parameters for each row of
-    ``z_rows`` (a single point may be given as a vector).
+    an (m, p) array.
 
     Members are built and scored a chunk at a time (see
     :func:`population_stacks`) and their scores accumulate in member-index
     order whatever the chunk size.
     """
     z_rows = np.asarray(z_rows, dtype=np.float64)
-    single = z_rows.ndim == 1
-    if single:
-        z_rows = z_rows[None, :]
-    if z_rows.shape[1] != p:
+    if z_rows.ndim != 2 or z_rows.shape[1] != p:
         raise DimensionMismatch(
             f"rows of shape {z_rows.shape} against populations with p={p}")
     _require_finite(z_rows, "rows to score")
@@ -353,4 +350,4 @@ def population_rpe_scores(populations, p: int, config: RpeConfig,
     for stack in population_stacks(populations, p, config, rows=z_rows.shape[0]):
         _accumulate_scores(acc, stack, priors, z_rows)
     acc /= config.B
-    return acc[0] if single else acc
+    return acc

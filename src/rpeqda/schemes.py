@@ -36,7 +36,7 @@ from .errors import (
     InvalidParameter,
     UnknownScheme,
 )
-from .linalg import orthonormal_columns, qr_orthogonal
+from .linalg import orthonormal_columns
 from .rng import mix, stream
 
 SCHEME_IDS = ("s1", "s2", "s3", "s4", "example2")
@@ -81,12 +81,12 @@ def _scheme1(p: int) -> SchemeSpec:
     cov1 = BlockDiagonal([
         EquiCorrelation(p11, 0.5),
         EquiCorrelation(p12, 0.5),
-        ArProcessCovariance(p13, rho, scale=c1 * (1.5 + 1.0 / p13)),
+        ScaledCovariance(ArProcessCovariance(p13, rho), c1 * (1.5 + 1.0 / p13)),
     ])
     cov2 = BlockDiagonal([
         EquiCorrelation(p21, 0.5),
         EquiCorrelation(p22, 0.5),
-        ArProcessCovariance(p23, rho, scale=c2 * (1.5 + 1.0 / p23)),
+        ScaledCovariance(ArProcessCovariance(p23, rho), c2 * (1.5 + 1.0 / p23)),
     ])
     mean1 = np.zeros(p)
     mean2 = np.zeros(p)
@@ -140,7 +140,7 @@ def _scheme4(p: int, structure_seed: int) -> SchemeSpec:
     lam = top - np.arange(spike_dim)
     if lam[-1] <= 0:
         raise DimensionTooSmall(f"scheme s4 spectrum not positive at p={p}")
-    basis = qr_orthogonal(stream(structure_seed).standard_normal(
+    basis = orthonormal_columns(stream(structure_seed).standard_normal(
         (spike_dim, spike_dim)))
     spike1 = RotatedSpike(basis, lam)
     spike2 = RotatedSpike(basis, lam)
@@ -183,7 +183,7 @@ def build_example2(p: int, c: float, r: int, spike_bound: float = 10.0,
 
     P has r orthonormal columns drawn once from a seeded Gaussian block
     (QR with positive-diagonal convention); gamma is uniform on
-    [1, spike_bound).  r = 0 gives Sigma = I exactly.
+    [1, spike_bound).  r = 0 gives Sigma = ``IdentityCovariance(p)``.
     """
     _require_positive_dimension(p)
     if not 0 <= r <= p:
@@ -195,7 +195,7 @@ def build_example2(p: int, c: float, r: int, spike_bound: float = 10.0,
     rng = stream(seed)
     basis = orthonormal_columns(rng.standard_normal((p, r)))
     gamma = rng.uniform(1.0, spike_bound, size=r)
-    base = SpikedIdentity(p, basis, gamma)
+    base = SpikedIdentity(p, basis, gamma) if r else IdentityCovariance(p)
     zero = np.zeros(p)
     return SchemeSpec("example2", p,
                       (Population(0.5, zero, base),
@@ -276,7 +276,7 @@ def kl_divergence(a, b) -> float:
     if cov_b.p != p or mean_a.shape != (p,) or mean_b.shape != (p,):
         raise DimensionMismatch("population dimensions differ")
     dmu = mean_a - mean_b
-    quad = float(dmu @ cov_a.solve(dmu)) if dmu.any() else 0.0
+    quad = float(dmu @ cov_a.solve(dmu[:, None])[:, 0]) if dmu.any() else 0.0
     two_kl = (trace_solve_product(cov_a, cov_b) + quad - p
               + cov_a.log_det() - cov_b.log_det())
     kl = 0.5 * two_kl

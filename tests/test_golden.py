@@ -32,8 +32,9 @@ GENERATE_SHA256 = {
 }
 MIX_SHA256 = "1b247a10ebc26cb9641232a0f517ba9d21d116c268218e0ae4967eb32f4b7848"
 # schemes.sample() bytes of both classes (5 rows each, seeds 1001 and
-# 1002) at odd p, and at p = 1 where InverseArCovariance (s3) and
-# SpikedIdentity (example2) sample through a special case
+# 1002) at odd p, and at p = 1 where InverseArCovariance (s3) samples
+# through a special case and example2 is the identity (r = 0) or a rank-1
+# spike
 SAMPLE_SHA256 = {
     ("s1", 97): "0aec2aaa9989eec46dc96140d43ca9eec15989cdebd5d529f5b721b0ca95a2cd",
     ("s2", 1): "54f0ba939c41cd0f1b613f38396a016e7c93d5e0659fde92cce363f718c60b02",
@@ -66,6 +67,24 @@ EXPERIMENT_SHA256 = {
     "s2": "229e9441a3b5fb89fd2124da68fc51fb06282f57424cc6739b565d1446a11626",
     "s3": "7e677770e35435b4702451d05213879b414ca446774b234d4042ddbd2500088c",
     "s4": "f548b8ebbb8a1c266d636f7819c5559c269f425b572b3e82a384ae98c601354e",
+}
+# canonical JSON of theorem_alignment_check(build_example2(400, c=2.0,
+# r=0, seed=1), draws=40, seed=7, d=8, B=60), without timing: population
+# mode through the identity handle and its scaled copy
+ALIGNMENT_SHA256 = "7700a62d465aa417f1eff3c9c28600c50e00b3cf050d94b0fd295c4a022aa906"
+# float.hex of every kl_summary() value: s1's scaled AR blocks through the
+# column sweep, s3's scale pair and example2 (c=2.0, seed=1) in closed form
+KL_SUMMARY_HEX = {
+    ("s1", 512): ("0x1.86ebbc867a527p+5", "0x1.23c231cca574ap+4", "0x1.23c231cca574ap+4",
+                  "0x1.23c231cca574ap-5", "0x1.23c231cca574ap-4"),
+    ("s3", 512): ("0x1.344fdba8bcac0p+3", "0x1.02d3968e66c60p+3", "0x1.02d3968e66c60p+3",
+                  "0x1.02d3968e66c60p-6", "0x1.02d3968e66c60p-5"),
+    ("example2-r0", 300): ("0x1.70392fa658838p+5", "0x1.cf8da0b34ef90p+4",
+                           "0x1.cf8da0b34ef90p+4", "0x1.8b90bfbe8e7bcp-4",
+                           "0x1.8b90bfbe8e7bcp-3"),
+    ("example2-r3", 300): ("0x1.70392fa658838p+5", "0x1.cf8da0b34ef8fp+4",
+                           "0x1.cf8da0b34ef8fp+4", "0x1.8b90bfbe8e7bbp-4",
+                           "0x1.8b90bfbe8e7bbp-3"),
 }
 MODEL_SHA256 = {
     "sn-full": "3d2eeec70694653301022ecc54b6027d0dc79da86ad9f9fafd088aabdb8e2391",
@@ -143,6 +162,23 @@ def test_scheme_experiment_report(scheme):
     report = evaluate.run_scheme_experiment(scheme, 64, 15, 10, 3, config, data_seed=21)
     text = serialize.canonical_json(report.to_dict(include_timing=False))
     assert _sha([text.encode()]) == EXPERIMENT_SHA256[scheme]
+
+
+def test_alignment_check_report():
+    spec = schemes.build_example2(400, c=2.0, r=0, seed=1)
+    check = evaluate.theorem_alignment_check(spec, draws=40, seed=7, d=8, B=60)
+    text = serialize.canonical_json(check.to_dict(include_timing=False))
+    assert _sha([text.encode()]) == ALIGNMENT_SHA256
+
+
+@pytest.mark.parametrize("name, p", list(KL_SUMMARY_HEX))
+def test_kl_summary_values(name, p):
+    if name.startswith("example2"):
+        spec = schemes.build_example2(p, c=2.0, r=int(name[-1]), seed=1)
+    else:
+        spec = schemes.build_scheme(name, p)
+    got = tuple(float.hex(value) for value in schemes.kl_summary(spec).values())
+    assert got == KL_SUMMARY_HEX[name, p]
 
 
 def test_sparse_project_many_bytes():

@@ -168,24 +168,24 @@ class TestStackedFactors:
 
 class TestQrOrthogonal:
     def test_identity(self):
-        np.testing.assert_allclose(linalg.qr_orthogonal(np.eye(4)), np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(linalg.orthonormal_columns(np.eye(4)), np.eye(4), atol=1e-14)
 
     def test_rotation_is_fixed_point(self):
         theta = math.pi / 6.0
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
-        np.testing.assert_allclose(linalg.qr_orthogonal(rot), rot, atol=1e-12)
+        np.testing.assert_allclose(linalg.orthonormal_columns(rot), rot, atol=1e-12)
 
     def test_zero_column_rejected(self):
         a = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(RankDeficient):
-            linalg.qr_orthogonal(a)
+            linalg.orthonormal_columns(a)
 
     @pytest.mark.parametrize("dim", [2, 5, 20])
     def test_orthogonality_and_reconstruction(self, dim):
         rng = np.random.default_rng(300 + dim)
         a = rng.standard_normal((dim, dim))
-        q = linalg.qr_orthogonal(a)
+        q = linalg.orthonormal_columns(a)
         assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-10
         r = q.T @ a
         assert np.all(np.diag(r) > 0)

@@ -76,7 +76,8 @@ class TestFit:
             rpe.rpe_fit(two_class_data(rng), config)
         assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
         with pytest.raises(InvalidParameter):
-            rpe.population_rpe_scores(random_populations(rng, 5), 5, config, np.zeros(5))
+            rpe.population_rpe_scores(random_populations(rng, 5), 5, config,
+                                      np.zeros((1, 5)))
 
     @pytest.mark.parametrize("fields", [
         {"B": 0}, {"B": -2}, {"d": 0}, {"d": -1}, {"max_regen_retries": -1},
@@ -98,7 +99,7 @@ class TestFit:
         model = rpe.rpe_fit(two_class_data(rng), config)
         assert len(model.members) == 1
         scores = rpe.population_rpe_scores(random_populations(rng, 5), 5, config,
-                                           np.zeros(5))
+                                           np.zeros((1, 5)))
         assert np.isfinite(scores).all()
 
     def test_reduced_dim_too_large(self):
@@ -409,13 +410,12 @@ class TestPopulationMode:
                 members += 1
         assert members == 4
 
-    def test_population_scores_single_vector_shape(self):
-        rng = np.random.default_rng(19)
-        cov = DenseCovariance(random_spd(rng, 4))
-        pops = [(0.5, np.zeros(4), cov), (0.5, np.ones(4), cov)]
-        config = rpe.RpeConfig(B=2, d=2, master_seed=77)
-        single = rpe.population_rpe_scores(pops, 4, config, np.zeros(4))
-        assert single.shape == (2,)
+    @pytest.mark.parametrize("shape", [(4,), (1, 1, 4), (2, 3)])
+    def test_population_scores_need_row_matrix(self, shape):
+        # as in rpe_scores_rows: a vector or a wrong width is a typed error
+        pops = random_populations(np.random.default_rng(19), 4)
+        with pytest.raises(DimensionMismatch):
+            rpe.population_rpe_scores(pops, 4, rpe.RpeConfig(B=2, d=2), np.zeros(shape))
 
 
 def oracle_population_scores(populations, p, config, z_rows):
