@@ -62,6 +62,12 @@ def _run_config(args, command) -> dict:
                for k, v in sorted(vars(args).items()) if k not in skip}}
 
 
+def _provenance(run_config) -> str:
+    """The provenance text of an output file: tool version, then the
+    canonical run config."""
+    return f"{serialize.tool_version()} {serialize.canonical_json(run_config)}"
+
+
 def _build_spec(args):
     if args.scheme == "example2":
         return schemes.build_example2(args.p, args.c, args.r,
@@ -73,8 +79,7 @@ def _build_spec(args):
 def cmd_simulate(args) -> int:
     spec = _build_spec(args)
     data = schemes.sample_dataset(spec, args.n_per_class, args.data_seed)
-    meta = f"{serialize.tool_version()} {serialize.canonical_json(_run_config(args, 'simulate'))}"
-    csvio.export_csv(data, args.out, meta=meta)
+    csvio.export_csv(data, args.out, meta=_provenance(_run_config(args, "simulate")))
     print(f"wrote {data.n} x {data.p} samples to {args.out}")
     return 0
 
@@ -103,8 +108,7 @@ def cmd_bench(args) -> int:
     }
     table_path = args.csv or (str(args.out) + ".csv")
     with open(table_path, "w", encoding="utf-8") as handle:
-        handle.write(f"# {serialize.tool_version()} "
-                     f"{serialize.canonical_json(run_config)}\n")
+        handle.write(f"# {_provenance(run_config)}\n")
         handle.write(serialize.benchmark_table_csv(rows, [r.p for r in reports]))
     print(f"wrote {args.out} and {table_path}")
     return 0
@@ -132,8 +136,7 @@ def cmd_predict(args) -> int:
     predicted = [model.class_labels[j] for j in np.argmax(scores, axis=1)]
     run_config = _run_config(args, "predict")
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# {serialize.tool_version()} "
-                     f"{serialize.canonical_json(run_config)}\n")
+        handle.write(f"# {_provenance(run_config)}\n")
         names = ",".join(f"score_{label}" for label in model.class_labels)
         handle.write(f"predicted,{names}\n")
         for label, row in zip(predicted, scores):
@@ -161,8 +164,7 @@ def cmd_kl_diag(args) -> int:
     log_values = theta.log_over_p(data.p)
     run_config = _run_config(args, "kl-diag")
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# {serialize.tool_version()} "
-                     f"{serialize.canonical_json(run_config)}\n")
+        handle.write(f"# {_provenance(run_config)}\n")
         handle.write("," + ",".join(theta.labels) + "\n")
         for i, label in enumerate(theta.labels):
             cells = []
@@ -199,8 +201,7 @@ def cmd_viz2d(args) -> int:
     run_config = _run_config(args, "viz2d")
     grid_cells = []
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# {serialize.tool_version()} "
-                     f"{serialize.canonical_json(run_config)}\n")
+        handle.write(f"# {_provenance(run_config)}\n")
         handle.write("kind,x,y,label,pred,score_diff\n")
         scores = qda.class_scores_rows(*model, projected)
         for (x, y), label, row in zip(projected, data.labels, scores):

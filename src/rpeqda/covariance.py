@@ -1,7 +1,7 @@
 """Structured covariance representations.
 
 Each class represents a symmetric positive-definite p x p matrix through
-closed forms, supporting exactly the operations the samplers, the
+closed forms, with exactly the four operations the samplers, the
 divergence oracle and the population-mode classifier need:
 
 * ``matvec(V)``    -- Sigma @ V for columns V of shape (p, k)
@@ -12,18 +12,15 @@ divergence oracle and the population-mode classifier need:
                       ``outs``, in order, with one draw of sum(n_i) rows
                       from N(0, Sigma) using the structure (cost O(p) to
                       O(p * width) per row)
-* ``sample(n, g)`` -- the same draw of n rows as a new array: allocate,
-                      then ``fill``
-* ``dense()``      -- explicit materialization, intended for p <= 2048
 
 A scalar multiple of a handle is always ``ScaledCovariance(base, c)``,
 never a parameter of the base, so the divergence oracle can recognise a
 scale pair by unwrapping one handle type.
 
 Sampling consumes the supplied Generator in a fixed documented order, so a
-seed fully determines the draw, and ``fill`` consumes it exactly as
-``sample`` of the same total row count does: the bytes do not depend on
-how the rows are split into blocks.  So a caller can draw straight into
+seed fully determines the draw, and ``fill`` consumes it the same way
+however the rows are split into blocks: the bytes depend only on the
+total row count.  So a caller can draw straight into
 the rows of its own arrays, such as the train and test rows of one class,
 and draws on distinct Generators into distinct blocks can run on
 concurrent threads (NumPy's Generator fills and ufuncs release the GIL).
@@ -33,7 +30,7 @@ two AR forms, scaling) draw into the blocks and transform them in place,
 ``_SAMPLE_BLOCK_ROWS`` rows at a time where they need a temporary.  A
 block diagonal draws each block through temporaries of that block's width,
 because ``standard_normal(out=)`` needs contiguous memory.  Handles that
-transform with a BLAS product (dense, rotated spike, spiked identity) draw
+transform with a BLAS product (rotated spike, spiked identity) draw
 all rows into one temporary and copy it out, because a product over fewer
 rows can round differently.
 """
@@ -41,10 +38,8 @@ rows can round differently.
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.signal import lfilter
 
-from . import linalg
 from .errors import DimensionMismatch, InvalidCovariance, InvalidParameter
 
 # Generic trace products fall back to an O(p^2) column sweep; cap the size
@@ -87,49 +82,7 @@ def _copy_out(rows, outs):
         lo += len(out)
 
 
-class _Sampler:
-    """``sample`` for every handle: allocate the rows, then ``fill`` them."""
-
-    def sample(self, n, rng):
-        out = np.empty((n, self.p))
-        self.fill(rng, [out])
-        return out
-
-
-class DenseCovariance(_Sampler):
-    """Explicit SPD matrix; the fallback handle and the test oracle."""
-
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        self._factor = None
-
-    @property
-    def p(self):
-        return self.matrix.shape[0]
-
-    def _chol(self):
-        if self._factor is None:
-            self._factor = linalg.cholesky(self.matrix)
-        return self._factor
-
-    def matvec(self, v):
-        return self.matrix @ v
-
-    def solve(self, v):
-        return cho_solve((self._chol()[0], True), v, check_finite=False)
-
-    def log_det(self):
-        return self._chol()[1]
-
-    def fill(self, rng, outs):
-        z = rng.standard_normal((_total_rows(outs), self.p))
-        _copy_out(z @ self._chol()[0].T, outs)
-
-    def dense(self):
-        return self.matrix.copy()
-
-
-class IdentityCovariance(_Sampler):
+class IdentityCovariance:
     def __init__(self, p):
         self.p = p
 
@@ -145,11 +98,8 @@ class IdentityCovariance(_Sampler):
     def fill(self, rng, outs):
         _draw(rng, outs)
 
-    def dense(self):
-        return np.eye(self.p)
 
-
-class EquiCorrelation(_Sampler):
+class EquiCorrelation:
     """Sigma = (1 - rho) I + rho 1 1'.
 
     Inverse by Sherman-Morrison, sampling by the shared-factor identity
@@ -182,9 +132,6 @@ class EquiCorrelation(_Sampler):
             z += math.sqrt(self.rho) * w[lo:lo + len(z)]
             lo += len(z)
 
-    def dense(self):
-        return (1.0 - self.rho) * np.eye(self.p) + self.rho * np.ones((self.p, self.p))
-
 
 def _ar_matvec(rho, cols):
     """T @ cols for the AR(1) correlation T = ((rho^|i-j|))."""
@@ -208,7 +155,7 @@ def _ar_solve(rho, cols):
     return out
 
 
-class ArProcessCovariance(_Sampler):
+class ArProcessCovariance:
     """Sigma = T = ((rho^|i-j|)), the stationary AR(1) correlation.
 
     matvec runs two geometric recursions (O(p)); solve applies the exact
@@ -237,12 +184,8 @@ class ArProcessCovariance(_Sampler):
                 x[:, 1:] *= math.sqrt(1.0 - self.rho * self.rho)
                 x[...] = lfilter([1.0], [1.0, -self.rho], x, axis=1)
 
-    def dense(self):
-        idx = np.arange(self.p)
-        return self.rho ** np.abs(idx[:, None] - idx[None, :])
 
-
-class InverseArCovariance(_Sampler):
+class InverseArCovariance:
     """Sigma = T^{-1} where T = ((rho^|i-j|)).
 
     T^{-1} is tridiagonal, so Sigma itself is tridiagonal; solve applies T
@@ -277,21 +220,8 @@ class InverseArCovariance(_Sampler):
                 z[:, 1:] /= s
                 z[:, 0] = first
 
-    def dense(self):
-        if self.p == 1:
-            return np.array([[1.0]])
-        rho = self.rho
-        c = 1.0 / (1.0 - rho * rho)
-        out = np.zeros((self.p, self.p))
-        np.fill_diagonal(out, c * (1.0 + rho * rho))
-        out[0, 0] = out[-1, -1] = c
-        idx = np.arange(self.p - 1)
-        out[idx, idx + 1] = -c * rho
-        out[idx + 1, idx] = -c * rho
-        return out
 
-
-class RotatedSpike(_Sampler):
+class RotatedSpike:
     """Sigma = P diag(lam) P' with P square orthogonal."""
 
     def __init__(self, basis, lam):
@@ -314,11 +244,8 @@ class RotatedSpike(_Sampler):
         z = rng.standard_normal((_total_rows(outs), self.p))
         _copy_out((z * np.sqrt(self.lam)) @ self.basis.T, outs)
 
-    def dense(self):
-        return (self.basis * self.lam) @ self.basis.T
 
-
-class SpikedIdentity(_Sampler):
+class SpikedIdentity:
     """Sigma = I_p + P diag(gamma) P' with P a p x r orthonormal block.
 
     Inversion and square roots act only on the r-dimensional spike, so all
@@ -350,11 +277,8 @@ class SpikedIdentity(_Sampler):
         z += ((z @ self.basis) * stretch) @ self.basis.T
         _copy_out(z, outs)
 
-    def dense(self):
-        return np.eye(self.p) + (self.basis * self.gamma) @ self.basis.T
 
-
-class ScaledCovariance(_Sampler):
+class ScaledCovariance:
     """Sigma = scale * base, sharing the base representation."""
 
     def __init__(self, base, scale):
@@ -381,11 +305,8 @@ class ScaledCovariance(_Sampler):
         for x in outs:
             x *= math.sqrt(self.scale)
 
-    def dense(self):
-        return self.scale * self.base.dense()
 
-
-class BlockDiagonal(_Sampler):
+class BlockDiagonal:
     """Block-diagonal composition of structured blocks, applied slicewise.
 
     Sampling consumes the generator block by block in storage order.
@@ -418,12 +339,6 @@ class BlockDiagonal(_Sampler):
             block.fill(rng, parts)
             for out, part in zip(outs, parts):
                 out[:, lo:hi] = part
-
-    def dense(self):
-        out = np.zeros((self.p, self.p))
-        for block, lo, hi in zip(self.blocks, self.offsets, self.offsets[1:]):
-            out[lo:hi, lo:hi] = block.dense()
-        return out
 
 
 def _unwrap_scale(cov):

@@ -27,7 +27,7 @@ from . import qda, rpe, schemes
 from .dataset import Dataset
 from .errors import EmptyInput, LengthMismatch, ReducedDimTooLarge, TooFewSamplesForClass
 from .linalg import _in_parallel, _one_blas_thread
-from .rng import DRAW_TAG, PROJECTION_TAG, STRUCTURE_TAG, mix, stream
+from .rng import DRAW_TAG, PROJECTION_TAG, STRUCTURE_TAG, mix
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,7 @@ def theorem_alignment_check(spec: schemes.SchemeSpec, draws: int, seed: int,
     kl_over_p = schemes.kl_divergence(pops[1], pops[0]) / p
 
     start = time.perf_counter()
-    z_rows = pops[0].cov.sample(draws, stream(mix(seed, DRAW_TAG))) + pops[0].mean
+    z_rows = schemes.sample(spec, 1, draws, mix(seed, DRAW_TAG))
     scores = qda.population_class_scores(
         [(pop.prior, pop.mean, pop.cov) for pop in pops], z_rows)
     disc = scores[:, 0] - scores[:, 1]

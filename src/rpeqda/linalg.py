@@ -2,7 +2,7 @@
 
 Matrices are plain float64 ``numpy`` arrays in row-major order; symmetric
 matrices are stored in full with exact ``A[i, j] == A[j, i]`` maintained by
-construction.  Factorizations are delegated to LAPACK (via numpy/scipy) and
+construction.  Factorizations are delegated to LAPACK (via numpy) and
 wrapped with the tolerance and error semantics this package requires.
 
 No inverse is ever materialized: every quadratic form and determinant goes
@@ -48,8 +48,8 @@ _WORKER_THREADS = 2
 
 # (get, set) thread-count entry points of the OpenBLAS numpy loads: the
 # 64-bit-integer scipy-openblas of numpy's wheels, or a system OpenBLAS.
-# scipy's own OpenBLAS (32-bit scipy-openblas) is left alone: rpeqda calls
-# it only from DenseCovariance.solve, which no scheme uses.
+# scipy's own OpenBLAS (32-bit scipy-openblas) is left alone: rpeqda makes
+# no BLAS call through scipy.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
@@ -63,6 +63,8 @@ PIVOT_RTOL = 1e-12
 QR_RANK_RTOL = 1e-12
 
 
+# No library code calls this; perfbench's tracer binds it and the tests'
+# dense oracle factors through it, so it leaves with the benchmark's change.
 def cholesky(s: np.ndarray):
     """Factor a symmetric positive-definite matrix as ``L @ L.T``.
 

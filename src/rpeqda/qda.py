@@ -115,10 +115,15 @@ def population_class_scores(populations, z_rows: np.ndarray) -> np.ndarray:
     handles (anything with ``solve`` and ``log_det``).
 
     ``populations`` is a sequence of (prior, mean, covariance) triples;
-    ``z_rows`` is (m, p).  Returns (m, J).  The ambient covariance is never
-    materialized: quadratic forms go through the handle's exact solve.
+    ``z_rows`` is (m, p); any other shape raises ``DimensionMismatch``.
+    Returns (m, J).  The ambient covariance is never materialized:
+    quadratic forms go through the handle's exact solve.
     """
     z_rows = np.asarray(z_rows, dtype=np.float64)
+    p = len(populations[0][1])
+    if z_rows.ndim != 2 or z_rows.shape[1] != p:
+        raise DimensionMismatch(
+            f"rows of shape {z_rows.shape} against populations with p={p}")
     out = np.empty((z_rows.shape[0], len(populations)))
     for j, (prior, mean, cov) in enumerate(populations):
         centered = z_rows - np.asarray(mean, dtype=np.float64)

@@ -253,16 +253,9 @@ def sample_dataset(spec: SchemeSpec, n_per_class: int, seed: int) -> Dataset:
     return Dataset(features, tuple(str(k) for k in (1, 2) for _ in range(n_per_class)))
 
 
-def _params(pop):
-    if isinstance(pop, Population):
-        return pop.mean, pop.cov
-    mean, cov = pop
-    return np.asarray(mean, dtype=np.float64), cov
-
-
 def kl_divergence(a, b) -> float:
     """KL divergence oracle for the ordered pair (a, b) of Gaussian
-    populations, via the closed form
+    ``Population``s, via the closed form
 
         2 KL = tr(S_a^{-1} S_b) + dmu' S_a^{-1} dmu - p
                + log det(S_a) - log det(S_b),
@@ -270,12 +263,11 @@ def kl_divergence(a, b) -> float:
     with dmu = mu_a - mu_b.  Structured covariances keep every term exact;
     generic pairs use the column-sweep trace limited to p <= 2048.
     """
-    mean_a, cov_a = _params(a)
-    mean_b, cov_b = _params(b)
+    cov_a, cov_b = a.cov, b.cov
     p = cov_a.p
-    if cov_b.p != p or mean_a.shape != (p,) or mean_b.shape != (p,):
+    if cov_b.p != p or a.mean.shape != (p,) or b.mean.shape != (p,):
         raise DimensionMismatch("population dimensions differ")
-    dmu = mean_a - mean_b
+    dmu = a.mean - b.mean
     quad = float(dmu @ cov_a.solve(dmu[:, None])[:, 0]) if dmu.any() else 0.0
     two_kl = (trace_solve_product(cov_a, cov_b) + quad - p
               + cov_a.log_det() - cov_b.log_det())

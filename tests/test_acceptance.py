@@ -30,9 +30,10 @@ import numpy as np
 import pytest
 
 from rpeqda import evaluate, linalg, qda, rpe, schemes, serialize
-from rpeqda.covariance import DenseCovariance
 from rpeqda.dataset import Dataset
 from rpeqda.randproj import ProjectionFamily
+
+from oracles import DenseCovariance
 
 DATA_SEED = 20240801
 THEOREM_SEED = 424242

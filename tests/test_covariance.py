@@ -8,7 +8,6 @@ from rpeqda.errors import DimensionMismatch, InvalidCovariance, InvalidParameter
 from rpeqda.covariance import (
     ArProcessCovariance,
     BlockDiagonal,
-    DenseCovariance,
     EquiCorrelation,
     IdentityCovariance,
     InverseArCovariance,
@@ -19,7 +18,9 @@ from rpeqda.covariance import (
 )
 from rpeqda.rng import stream
 
-# SHA-256 of sample(37, stream(4242)) bytes for every handle of
+from oracles import DenseCovariance, dense, draw
+
+# SHA-256 of the bytes of draw(cov, 37, stream(4242)) for every handle of
 # fill_handles(), recorded before sampling went through fill
 SAMPLE_37_SHA256 = {
     "dense": "3b1fc515b28f9deebe1c42797bf18cf8108a073c4e2b14d5b4f33c4fd9119f71",
@@ -66,45 +67,45 @@ def make_handles():
 class TestHandleAgainstDense:
     def test_dense_is_symmetric_spd(self, name):
         cov = make_handles()[name]
-        dense = cov.dense()
-        np.testing.assert_allclose(dense, dense.T, atol=1e-12)
-        linalg.cholesky(dense)
+        sigma = dense(cov)
+        np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
+        linalg.cholesky(sigma)
 
     def test_matvec_matches_dense(self, name):
         cov = make_handles()[name]
-        dense = cov.dense()
+        sigma = dense(cov)
         rng = np.random.default_rng(1)
         v = rng.standard_normal((cov.p, 1))
-        np.testing.assert_allclose(cov.matvec(v), dense @ v, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(cov.matvec(v), sigma @ v, rtol=1e-10, atol=1e-10)
         cols = rng.standard_normal((cov.p, 4))
-        np.testing.assert_allclose(cov.matvec(cols), dense @ cols, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(cov.matvec(cols), sigma @ cols, rtol=1e-10, atol=1e-10)
 
     def test_solve_matches_dense(self, name):
         cov = make_handles()[name]
-        dense = cov.dense()
+        sigma = dense(cov)
         rng = np.random.default_rng(2)
         v = rng.standard_normal((cov.p, 1))
-        np.testing.assert_allclose(cov.solve(v), np.linalg.solve(dense, v),
+        np.testing.assert_allclose(cov.solve(v), np.linalg.solve(sigma, v),
                                    rtol=1e-9, atol=1e-9)
 
     def test_log_det_and_trace_match_dense(self, name):
         cov = make_handles()[name]
-        dense = cov.dense()
-        sign, logdet = np.linalg.slogdet(dense)
+        sigma = dense(cov)
+        sign, logdet = np.linalg.slogdet(sigma)
         assert sign > 0
         assert cov.log_det() == pytest.approx(logdet, abs=1e-9)
         # the KL oracle's trace term, tr(I^{-1} Sigma), through the handle
         assert trace_solve_product(IdentityCovariance(cov.p), cov) == pytest.approx(
-            np.trace(dense), rel=1e-12)
+            np.trace(sigma), rel=1e-12)
 
     def test_sampler_moments(self, name):
         cov = make_handles()[name]
-        dense = cov.dense()
-        draws = cov.sample(60000, stream(1000))
+        sigma = dense(cov)
+        draws = draw(cov, 60000, stream(1000))
         assert draws.shape == (60000, cov.p)
         emp = draws.T @ draws / draws.shape[0]
-        scale = max(np.max(np.abs(dense)), 1.0)
-        assert np.max(np.abs(emp - dense)) <= 0.08 * scale
+        scale = max(np.max(np.abs(sigma)), 1.0)
+        assert np.max(np.abs(emp - sigma)) <= 0.08 * scale
         assert np.max(np.abs(draws.mean(axis=0))) <= 0.05 * np.sqrt(scale)
 
 
@@ -126,7 +127,7 @@ def fill_handles():
 def test_fill_over_split_blocks_matches_sample(name):
     # 13 + 24 rows: neither block a multiple of the 16-row sampler blocks
     cov = fill_handles()[name]
-    whole = cov.sample(37, stream(4242))
+    whole = draw(cov, 37, stream(4242))
     assert hashlib.sha256(whole.tobytes()).hexdigest() == SAMPLE_37_SHA256[name]
     blocks = [np.full((13, cov.p), np.nan), np.full((24, cov.p), np.nan)]
     cov.fill(stream(4242), blocks)
@@ -160,7 +161,7 @@ class TestTraceSolveProduct:
         a = BlockDiagonal([EquiCorrelation(5, 0.5), IdentityCovariance(5)])
         b = ScaledCovariance(ArProcessCovariance(10, 0.6), 2.0)
         got = trace_solve_product(a, b)
-        want = float(np.trace(np.linalg.solve(a.dense(), b.dense())))
+        want = float(np.trace(np.linalg.solve(dense(a), dense(b))))
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_dimension_mismatch(self):
@@ -185,14 +186,14 @@ class TestStructureSpecifics:
     def test_equicorrelation_sampler_law(self):
         # population covariance 0.1 I + 0.9 on the off-diagonal at t = 3
         cov = EquiCorrelation(3, 0.9)
-        draws = cov.sample(100000, stream(5))
+        draws = draw(cov, 100000, stream(5))
         emp = draws.T @ draws / draws.shape[0]
         expected = 0.1 * np.eye(3) + 0.9 * np.ones((3, 3))
         assert np.max(np.abs(emp - expected)) <= 0.02
 
     def test_identity_blocks_off_diagonal(self):
         cov = BlockDiagonal([IdentityCovariance(20)])
-        draws = cov.sample(100000, stream(6))
+        draws = draw(cov, 100000, stream(6))
         emp = draws.T @ draws / draws.shape[0]
         off = emp - np.diag(np.diag(emp))
         assert np.max(np.abs(off)) <= 0.02
@@ -202,7 +203,7 @@ class TestStructureSpecifics:
         # correlation entrywise
         p = 50
         cov = InverseArCovariance(p, 0.9)
-        draws = cov.sample(100000, stream(7))
+        draws = draw(cov, 100000, stream(7))
         emp = draws.T @ draws / draws.shape[0]
         prec = np.linalg.inv(emp)
         toeplitz = 0.9 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
@@ -218,7 +219,7 @@ class TestStructureSpecifics:
 
     def test_spiked_identity_rank_zero(self):
         cov = SpikedIdentity(9, np.zeros((9, 0)), np.zeros(0))
-        np.testing.assert_array_equal(cov.dense(), np.eye(9))
+        np.testing.assert_array_equal(dense(cov), np.eye(9))
         v = np.arange(9.0)[:, None]
         np.testing.assert_array_equal(cov.solve(v), v)
         block = np.arange(36.0).reshape(9, 4)

@@ -72,6 +72,13 @@ EXPERIMENT_SHA256 = {
 # r=0, seed=1), draws=40, seed=7, d=8, B=60), without timing: population
 # mode through the identity handle and its scaled copy
 ALIGNMENT_SHA256 = "7700a62d465aa417f1eff3c9c28600c50e00b3cf050d94b0fd295c4a022aa906"
+# the same check (draws=40, seed=7, d=8, B=60) on handles whose fill
+# transforms the drawn rows: s3's inverse AR form in place, example2's
+# spiked identity (c=2.0, r=3, seed=1) through a BLAS product
+ALIGNMENT_FILL_SHA256 = {
+    ("s3", 256): "7051c6a606c2982954212414b741f8607d96479332f2143092c9a5b1ce743bc4",
+    ("example2-r3", 300): "915f7a001a8f50e1dd7628a10d6f16fb9b32b5f5ffd8e31db36db366f4026c4d",
+}
 # float.hex of every kl_summary() value: s1's scaled AR blocks through the
 # column sweep, s3's scale pair and example2 (c=2.0, seed=1) in closed form
 KL_SUMMARY_HEX = {
@@ -169,6 +176,17 @@ def test_alignment_check_report():
     check = evaluate.theorem_alignment_check(spec, draws=40, seed=7, d=8, B=60)
     text = serialize.canonical_json(check.to_dict(include_timing=False))
     assert _sha([text.encode()]) == ALIGNMENT_SHA256
+
+
+@pytest.mark.parametrize("name, p", list(ALIGNMENT_FILL_SHA256))
+def test_alignment_check_report_through_fill(name, p):
+    if name.startswith("example2"):
+        spec = schemes.build_example2(p, c=2.0, r=int(name[-1]), seed=1)
+    else:
+        spec = schemes.build_scheme(name, p)
+    check = evaluate.theorem_alignment_check(spec, draws=40, seed=7, d=8, B=60)
+    text = serialize.canonical_json(check.to_dict(include_timing=False))
+    assert _sha([text.encode()]) == ALIGNMENT_FILL_SHA256[name, p]
 
 
 @pytest.mark.parametrize("name, p", list(KL_SUMMARY_HEX))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
 from rpeqda import linalg, qda
-from rpeqda.covariance import DenseCovariance
 from rpeqda.dataset import Dataset
 from rpeqda.errors import (
     DimensionMismatch,
@@ -17,6 +16,8 @@ from rpeqda.errors import (
     TooFewClasses,
     TooFewSamplesForClass,
 )
+
+from oracles import DenseCovariance
 
 
 def fit(data, ridge=0.0):
@@ -296,3 +297,12 @@ class TestPopulationScores:
         got = qda.population_class_scores(pops, z)
         model = model_from_moments([(pr, mu, c.matrix) for pr, mu, c in pops])
         np.testing.assert_allclose(got, qda.class_scores_rows(*model, z), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2), (3, 3)])
+    def test_population_scores_need_row_matrix(self, shape):
+        # as in rpe.population_rpe_scores: a vector, a 3-d array or a wrong
+        # width is a typed error
+        pops = [(0.5, np.zeros(2), DenseCovariance(np.eye(2))),
+                (0.5, np.ones(2), DenseCovariance(np.eye(2)))]
+        with pytest.raises(DimensionMismatch):
+            qda.population_class_scores(pops, np.zeros(shape))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from rpeqda import linalg, qda, rpe, schemes
-from rpeqda.covariance import DenseCovariance
 from rpeqda.dataset import Dataset
 from rpeqda.errors import (
     DimensionMismatch,
@@ -23,6 +22,8 @@ from rpeqda.errors import (
     TooFewClasses,
 )
 from rpeqda.randproj import ProjectionFamily, generate, project
+
+from oracles import DenseCovariance, dense
 
 SN = ProjectionFamily.STANDARD_NORMAL
 STP = ProjectionFamily.SPARSE_THREE_POINT
@@ -398,7 +399,7 @@ class TestPopulationMode:
         spec = schemes.build_example2(50, c=2.0, r=3, spike_bound=4.0, seed=2)
         pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
         config = rpe.RpeConfig(B=4, d=6, master_seed=66)
-        dense_cov = spec.populations[0].cov.dense()
+        dense_cov = dense(spec.populations[0].cov)
         members = 0
         for stack in rpe.population_stacks(pops, 50, config):
             for matrix, log_det in zip(stack.matrices, stack.log_det):

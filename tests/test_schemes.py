@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from rpeqda import linalg, schemes
-from rpeqda.covariance import DenseCovariance
 from rpeqda.errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -24,12 +23,14 @@ from rpeqda.schemes import (
     sample_dataset,
 )
 
+from oracles import DenseCovariance, dense, draw
+
 
 def kl_divergence_dense(a, b) -> float:
     """Dense KL oracle for two populations: materialize both covariances
     and use Cholesky factors; the cross-check for the structured oracle at
     p <= 2048."""
-    dense_a, dense_b = a.cov.dense(), b.cov.dense()
+    dense_a, dense_b = dense(a.cov), dense(b.cov)
     lower_a, log_det_a = linalg.cholesky(dense_a)
     _, log_det_b = linalg.cholesky(dense_b)
     half = np.linalg.solve(lower_a, dense_b)
@@ -69,8 +70,8 @@ class TestBuildScheme:
     def test_s4_structure_seed_changes_rotation_not_kl(self):
         a = build_scheme("s4", 128, structure_seed=1)
         b = build_scheme("s4", 128, structure_seed=2)
-        assert not np.allclose(a.populations[0].cov.dense(),
-                               b.populations[0].cov.dense())
+        assert not np.allclose(dense(a.populations[0].cov),
+                               dense(b.populations[0].cov))
         assert kl_divergence(a.populations[0], a.populations[1]) == pytest.approx(
             kl_divergence(b.populations[0], b.populations[1]), rel=1e-9)
 
@@ -99,7 +100,7 @@ class TestBuildScheme:
 class TestBuildExample2:
     def test_rank_zero_gives_identity_and_closed_form_kl(self):
         spec = build_example2(100, c=2.0, r=0, seed=1)
-        np.testing.assert_array_equal(spec.populations[0].cov.dense(), np.eye(100))
+        np.testing.assert_array_equal(dense(spec.populations[0].cov), np.eye(100))
         kl12 = kl_divergence(spec.populations[0], spec.populations[1])
         assert kl12 == pytest.approx(100 * (2.0 - math.log(2.0) - 1.0) / 2.0, rel=1e-12)
         assert kl12 == pytest.approx(15.3426, abs=5e-5)
@@ -191,17 +192,17 @@ class TestSampling:
             spec = build_scheme(sid, p, structure_seed=11)
         for k in (1, 2):
             pop = spec.populations[k - 1]
-            dense = pop.cov.dense()
+            sigma = dense(pop.cov)
             total = 200000
             gen = stream(500 + k)
             sums = np.zeros(p)
             prods = np.zeros((p, p))
             for _ in range(4):
-                draws = pop.cov.sample(total // 4, gen)
+                draws = draw(pop.cov, total // 4, gen)
                 sums += draws.sum(axis=0)
                 prods += draws.T @ draws
             emp_cov = prods / total
-            assert np.max(np.abs(emp_cov - dense)) <= 0.05 * max(np.max(np.abs(dense)), 1.0)
+            assert np.max(np.abs(emp_cov - sigma)) <= 0.05 * max(np.max(np.abs(sigma)), 1.0)
             assert np.max(np.abs(sums / total - np.zeros(p))) <= 0.05
 
 
