@@ -27,10 +27,17 @@ another (a replicate's two classes) are such parts: each draw has its own
 counter-based Philox stream (Salmon et al., 2011) and writes only its own
 output.  Row work is split by :func:`_in_halves` into two contiguous halves
 of whole pieces, one per thread: an ensemble's projection matrices (half
-of the seeds each), the sparse projection (half of the row blocks each)
-and the finite-input scans (half of the scan steps each).  Each half
-computes what the whole would have computed for its rows, so no result
-depends on the schedule.
+of the seeds each), the sparse projection (half of the row blocks each),
+the finite-input scans (half of the scan steps each) and population mode's
+member chunks (half of the chunks each).  Each half computes what the
+whole would have computed for its rows, so no result depends on the
+schedule.
+
+One rule covers nested splits: a split requested inside an
+:func:`_in_parallel` task, on either thread, runs its tasks in order on
+the current thread.  Both threads are busy with the outer split already,
+so a nested hand-off would only queue behind the outer task (or, on the
+worker, wait on itself).
 """
 
 import contextlib
@@ -290,22 +297,42 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
+# ``inside`` is True on a thread while it runs an _in_parallel task
+_task_state = threading.local()
+
+
+def _as_task(task):
+    """``task`` marked as running inside a split while it runs."""
+    def run():
+        _task_state.inside = True
+        try:
+            return task()
+        finally:
+            _task_state.inside = False
+    return run
+
+
 def _in_parallel(*tasks) -> list:
     """Run the callables at once and return their results in order.
 
     The first runs on the calling thread and the rest on the
     ``_WORKER_THREADS - 1`` shared workers.  Every task has finished when
     this returns or raises, and the error raised is that of the first
-    failing task in task order.  Tasks must not wait on other tasks.
+    failing task in task order.  Called inside a task of another
+    ``_in_parallel`` call, on either thread, it runs the tasks in order on
+    the current thread instead, stopping at the first that raises; so a
+    task may split its own work without waiting on a busy worker.
     """
     global _workers
+    if getattr(_task_state, "inside", False):
+        return [task() for task in tasks]
     with _worker_lock:
         if _workers is None:
             _workers = futures.ThreadPoolExecutor(
                 max_workers=_WORKER_THREADS - 1, thread_name_prefix="rpeqda-worker")
-        pending = [_workers.submit(task) for task in tasks[1:]]
+        pending = [_workers.submit(_as_task(task)) for task in tasks[1:]]
     try:
-        first = tasks[0]()
+        first = _as_task(tasks[0])()
     finally:
         futures.wait(pending)
     return [first] + [done.result() for done in pending]
@@ -317,8 +344,9 @@ def _in_halves(task, n: int, unit: int = 1) -> list:
 
     The first half, the larger one when the piece count is odd, runs on
     the calling thread and the second on the worker, as in
-    :func:`_in_parallel`; with fewer than two pieces the caller runs
-    ``task(0, n)`` alone and the result list has one entry.
+    :func:`_in_parallel` (so inside one of its tasks both halves run in
+    order on the current thread); with fewer than two pieces the caller
+    runs ``task(0, n)`` alone and the result list has one entry.
     """
     pieces = -(-n // unit)
     if pieces < 2:

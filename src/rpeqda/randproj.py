@@ -69,7 +69,8 @@ class ProjectionMatrix:
     signs: np.ndarray | None = None
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the full d x p array (tests and small-scale use)."""
+        """A new d x p array holding the matrix; population mode densifies
+        sparse members through it."""
         if self.entries is not None:
             return self.entries.copy()
         return _stacked_csc([self]).toarray()

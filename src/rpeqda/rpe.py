@@ -29,8 +29,13 @@ A known-parameter (population) mode builds each member from exact moments:
 projected mean R mu_k and projected covariance R Sigma_k R', with Sigma_k
 applied columnwise through a structured handle so the ambient covariance
 is never materialized.  Its members are built and scored in chunks; a
-chunk holds as many members as fit in ``POPULATION_CHUNK_BYTES``, so
-memory stays bounded by that budget rather than growing with B.
+chunk holds as many members as fit in ``POPULATION_CHUNK_BYTES``, so the
+member arrays alive at once (one chunk per thread) do not grow with B.
+The calling thread fits and scores the first half of the chunks and the
+worker of :mod:`rpeqda.linalg` the second; the worker's splits inside its
+half (the draws, the sparse products) run inline, as do the caller's.
+The caller adds its members' scores as it goes, then the worker's, kept
+as (members, rows, J) per chunk, so the sum runs in member order.
 
 Non-finite input rows are rejected with ``NonFiniteInput`` rather than
 scored.  The scan reads ``_FINITE_CHECK_VALUES`` values at a time, the
@@ -212,14 +217,17 @@ def _fit_stack(config: RpeConfig, p: int, members, moments) -> MemberStack:
            f"after {config.max_regen_retries} redraws")
 
 
-def _accumulate_scores(acc: np.ndarray, stack: MemberStack, priors,
-                       z_rows: np.ndarray) -> None:
-    """Add every member's (n, J) class scores of ``z_rows`` to ``acc``, in
+def _member_scores(stack: MemberStack, priors, z_rows: np.ndarray) -> np.ndarray:
+    """Every member's class scores of ``z_rows``, (m, n, J)."""
+    return class_scores_rows(priors, stack.means, stack.lower, stack.log_det,
+                             project_many(stack.matrices, z_rows))
+
+
+def _add_members(acc: np.ndarray, member_scores: np.ndarray) -> None:
+    """Add (m, n, J) member scores to ``acc`` one member at a time, in
     member order, so the sum does not depend on how members are chunked."""
-    projected = project_many(stack.matrices, z_rows)
-    for member_scores in class_scores_rows(priors, stack.means, stack.lower,
-                                           stack.log_det, projected):
-        acc += member_scores
+    for scores in member_scores:
+        acc += scores
 
 
 @_one_blas_thread()
@@ -273,8 +281,8 @@ def rpe_scores_rows(model: RpeModel, z_rows: np.ndarray) -> np.ndarray:
     row_bytes = 8 * len(model.members) * model.config.d * (1 + 2 * n_classes)
     step = max(1, _SCORE_BLOCK_BYTES // row_bytes)
     for lo in range(0, z_rows.shape[0], step):
-        _accumulate_scores(acc[lo:lo + step], model.members, model.priors,
-                           z_rows[lo:lo + step])
+        _add_members(acc[lo:lo + step],
+                     _member_scores(model.members, model.priors, z_rows[lo:lo + step]))
     return acc / len(model.members)
 
 
@@ -297,23 +305,15 @@ def rpe_predict_rows(model: RpeModel, z_rows: np.ndarray) -> list:
     return [model.class_labels[j] for j in np.argmax(scores, axis=1)]
 
 
-def population_stacks(populations, p: int, config: RpeConfig, rows: int = 0):
-    """Yield the population-mode ensemble as MemberStack chunks in member
-    order, sized so that two copies of each chunk's matrices (their
-    payloads and the stacked copy that moments and scoring make) and the
-    projected class offsets of ``rows`` points take about
-    ``POPULATION_CHUNK_BYTES``.
-
-    Each chunk's class covariances come from one handle ``matvec`` over the
-    chunk's m·d matrix columns per class; members redraw under the same
-    policy as the sample fit.
-    """
-    if config.d is None:
-        config = replace(config, d=default_reduced_dim(p))
-    d = config.d
+def _population_moments(populations, p: int, d: int):
+    """The ``moments`` of :func:`_fit_stack` under known parameters: each
+    class covariance comes from one handle ``matvec`` over the m·d matrix
+    columns of the m members."""
 
     def moments(matrices):
-        dense = np.stack([matrix.to_dense() for matrix in matrices])
+        # dense payloads stack as they are; sparse triplets are densified
+        dense = np.stack([matrix.entries if matrix.entries is not None else matrix.to_dense()
+                          for matrix in matrices])
         m = len(matrices)
         flat = dense.reshape(m * d, p)
         means, covs = [], []
@@ -324,10 +324,18 @@ def population_stacks(populations, p: int, config: RpeConfig, rows: int = 0):
             covs.append((projected + projected.transpose(0, 2, 1)) / 2.0)
         return np.stack(means, axis=1), np.stack(covs, axis=1)
 
-    member_bytes = 8 * d * (2 * p + len(populations) * rows)
-    chunk = max(1, POPULATION_CHUNK_BYTES // member_bytes)
-    for first in range(1, config.B + 1, chunk):
-        yield _fit_stack(config, p, range(first, min(first + chunk, config.B + 1)), moments)
+    return moments
+
+
+def _population_chunks(p: int, config: RpeConfig, classes: int, rows: int) -> list:
+    """Members 1..B cut into ranges, in member order, each sized so that
+    two copies of its matrices (their payloads and the stacked copy that
+    moments and scoring make) and the projected class offsets of ``rows``
+    points take about ``POPULATION_CHUNK_BYTES``."""
+    member_bytes = 8 * config.d * (2 * p + classes * rows)
+    size = max(1, POPULATION_CHUNK_BYTES // member_bytes)
+    return [range(first, min(first + size, config.B + 1))
+            for first in range(1, config.B + 1, size)]
 
 
 @_one_blas_thread()
@@ -336,18 +344,41 @@ def population_rpe_scores(populations, p: int, config: RpeConfig,
     """Averaged per-class scores under known parameters for each row of
     an (m, p) array.
 
-    Members are built and scored a chunk at a time (see
-    :func:`population_stacks`) and their scores accumulate in member-index
-    order whatever the chunk size.
+    Members are fitted and scored a chunk at a time (see
+    :func:`_population_chunks`), the first half of the chunks on the
+    calling thread and the second on the worker.  The caller adds its
+    members' scores as it goes and then the worker's, which come back as
+    one (members, rows, J) array per chunk, so the scores accumulate in
+    member-index order whatever the chunk size or the schedule, and the
+    first member (in member order) that cannot be fitted raises
+    ``MemberDegenerate``.
     """
     z_rows = np.asarray(z_rows, dtype=np.float64)
     if z_rows.ndim != 2 or z_rows.shape[1] != p:
         raise DimensionMismatch(
             f"rows of shape {z_rows.shape} against populations with p={p}")
     _require_finite(z_rows, "rows to score")
+    if config.d is None:
+        config = replace(config, d=default_reduced_dim(p))
     priors = [prior for prior, _, _ in populations]
+    moments = _population_moments(populations, p, config.d)
+    chunks = _population_chunks(p, config, len(populations), z_rows.shape[0])
     acc = np.zeros((z_rows.shape[0], len(populations)))
-    for stack in population_stacks(populations, p, config, rows=z_rows.shape[0]):
-        _accumulate_scores(acc, stack, priors, z_rows)
+
+    def half(lo, hi):
+        # the caller's half, the one from chunk 0, adds to acc as it goes
+        kept = []
+        for members in chunks[lo:hi]:
+            member_scores = _member_scores(_fit_stack(config, p, members, moments),
+                                           priors, z_rows)
+            if lo == 0:
+                _add_members(acc, member_scores)
+            else:
+                kept.append(member_scores)
+        return kept
+
+    for kept in _in_halves(half, len(chunks)):
+        for member_scores in kept:
+            _add_members(acc, member_scores)
     acc /= config.B
     return acc

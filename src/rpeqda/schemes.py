@@ -183,13 +183,17 @@ def build_example2(p: int, c: float, r: int, spike_bound: float = 10.0,
 
     P has r orthonormal columns drawn once from a seeded Gaussian block
     (QR with positive-diagonal convention); gamma is uniform on
-    [1, spike_bound).  r = 0 gives Sigma = ``IdentityCovariance(p)``.
+    [1, spike_bound).  r = 0 gives Sigma = ``IdentityCovariance(p)``.  A
+    non-finite ``c`` or ``spike_bound`` (at any r, since the spec records
+    it) raises ``InvalidCovariance``.
     """
     _require_positive_dimension(p)
     if not 0 <= r <= p:
         raise DimensionTooSmall(f"need 0 <= r <= p, got r={r}, p={p}")
-    if c <= 0 or c == 1.0:
-        raise InvalidCovariance(f"scale factor must be positive and != 1, got {c}")
+    if not math.isfinite(c) or c <= 0 or c == 1.0:
+        raise InvalidCovariance(f"scale factor must be finite, positive and != 1, got {c}")
+    if not math.isfinite(spike_bound):
+        raise InvalidCovariance(f"spike bound must be finite, got {spike_bound}")
     if r > 0 and spike_bound <= 1.0:
         raise InvalidCovariance(f"spike bound must exceed 1, got {spike_bound}")
     rng = stream(seed)

@@ -32,6 +32,7 @@ import pytest
 from rpeqda import evaluate, linalg, qda, rpe, schemes, serialize
 from rpeqda.dataset import Dataset
 from rpeqda.randproj import ProjectionFamily
+from rpeqda.rng import PROJECTION_TAG, STRUCTURE_TAG, mix
 
 from oracles import DenseCovariance
 
@@ -225,6 +226,48 @@ def test_criterion_03_scheme3_table_reproduction():
     ok = 0.05 <= sn <= 0.11
     _note(3, ok, f"s3 p=512 RPE-SN mean={sn:.4f} (target 0.08 +- 0.03)")
     assert 0.05 <= sn <= 0.11, f"s3 RPE-SN mean {sn:.4f} outside [0.05, 0.11]"
+
+
+def population_mean(scheme, p, family):
+    """Mean misclassification of the known-parameter ensemble (B = 200,
+    d = 10) on the test rows of the REPS replicates of
+    ``run_scheme_experiment``: replicate r draws class k's train then test
+    rows from mix(DATA_SEED, r, k) and seeds its projections from
+    mix(DATA_SEED, r, PROJECTION_TAG)."""
+    spec = schemes.build_scheme(scheme, p, mix(DATA_SEED, STRUCTURE_TAG))
+    pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+    truth = [k for k in (1, 2) for _ in range(N_TEST)]
+    errors = []
+    for r in range(1, REPS + 1):
+        z_rows = np.vstack([
+            schemes.sample(spec, k, N_TRAIN + N_TEST, mix(DATA_SEED, r, k))[N_TRAIN:]
+            for k in (1, 2)])
+        config = rpe.RpeConfig(B=200, d=10, family=family,
+                               master_seed=mix(DATA_SEED, r, PROJECTION_TAG))
+        scores = rpe.population_rpe_scores(pops, p, config, z_rows)
+        errors.append(evaluate.misclassification(np.argmax(scores, axis=1) + 1, truth))
+    return float(np.mean(errors))
+
+
+# The population-mode twins of criteria 2 and 3: the same cells and bands
+# with known class parameters in place of estimated ones.  That they pass
+# where the sample-mode criteria do not is consistent with the
+# finite-sample explanation of the module docstring.
+def test_criterion_02_scheme1_population_mode():
+    sn = population_mean("s1", 512, SN)
+    stp = population_mean("s1", 512, STP)
+    ok = 0.03 <= sn <= 0.09 and 0.03 <= stp <= 0.09
+    _note(2, ok, f"s1 p=512 population RPE-SN mean={sn:.4f}, RPE-STP mean={stp:.4f} "
+                 f"(target 0.06 +- 0.03)")
+    assert 0.03 <= sn <= 0.09, f"s1 population RPE-SN mean {sn:.4f} outside [0.03, 0.09]"
+    assert 0.03 <= stp <= 0.09, f"s1 population RPE-STP mean {stp:.4f} outside [0.03, 0.09]"
+
+
+def test_criterion_03_scheme3_population_mode():
+    sn = population_mean("s3", 512, SN)
+    ok = 0.05 <= sn <= 0.11
+    _note(3, ok, f"s3 p=512 population RPE-SN mean={sn:.4f} (target 0.08 +- 0.03)")
+    assert 0.05 <= sn <= 0.11, f"s3 population RPE-SN mean {sn:.4f} outside [0.05, 0.11]"
 
 
 def test_criterion_04_scheme4_table_reproduction():

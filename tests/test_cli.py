@@ -478,6 +478,17 @@ class TestCommands:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option", [
+        "--c nan", "--c inf", "--spike-bound inf", "--spike-bound nan",
+        "--r 2 --spike-bound inf"])
+    def test_non_finite_example2_parameter_exits_1(self, tmp_path, capsys, option):
+        out = tmp_path / "out"
+        argv = f"simulate --scheme example2 --p 10 {option} --out {out}".split()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "cv"])
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_bad_reduced_dim_exits_1_with_error_line(self, tmp_path, capsys, command, d):

@@ -401,7 +401,7 @@ class TestPopulationMode:
         config = rpe.RpeConfig(B=4, d=6, master_seed=66)
         dense_cov = dense(spec.populations[0].cov)
         members = 0
-        for stack in rpe.population_stacks(pops, 50, config):
+        for stack in population_stacks(pops, 50, config):
             for matrix, log_det in zip(stack.matrices, stack.log_det):
                 gap = log_det[1] - log_det[0]
                 assert gap == pytest.approx(6 * math.log(2.0), rel=1e-10)
@@ -446,6 +446,24 @@ def oracle_population_scores(populations, p, config, z_rows):
     return acc / config.B
 
 
+def population_stacks(populations, p, config, rows=0):
+    """The population-mode ensemble as MemberStack chunks in member order,
+    fitted from the chunks and moments ``population_rpe_scores`` uses."""
+    moments = rpe._population_moments(populations, p, config.d)
+    return [rpe._fit_stack(config, p, members, moments)
+            for members in rpe._population_chunks(p, config, len(populations), rows)]
+
+
+def serial_population_scores(populations, p, config, z_rows):
+    """population_rpe_scores on one thread: every chunk fitted and scored
+    in turn, member scores added in member order."""
+    acc = np.zeros((len(z_rows), len(populations)))
+    priors = [prior for prior, _, _ in populations]
+    for stack in population_stacks(populations, p, config, rows=len(z_rows)):
+        rpe._add_members(acc, rpe._member_scores(stack, priors, z_rows))
+    return acc / config.B
+
+
 def random_populations(rng, p, priors=(0.4, 0.6)):
     return [(prior, rng.standard_normal(p), DenseCovariance(random_spd(rng, p)))
             for prior in priors]
@@ -467,7 +485,7 @@ class TestPopulationStacks:
         z_rows = rng.standard_normal((9, p)) * 2.0
         config = rpe.RpeConfig(B=B, d=d, master_seed=5 + B, ridge=0.25 * (B % 2))
         self._set_chunk(monkeypatch, chunk, d, p, pops, len(z_rows))
-        stacks = list(rpe.population_stacks(pops, p, config, rows=len(z_rows)))
+        stacks = population_stacks(pops, p, config, rows=len(z_rows))
         assert [len(s) for s in stacks] == [
             min(chunk, B - first) for first in range(0, B, chunk)]
         got = rpe.population_rpe_scores(pops, p, config, z_rows)
@@ -488,7 +506,7 @@ class TestPopulationStacks:
             results = []
             for budget in (1, 10 ** 9):
                 monkeypatch.setattr(rpe, "POPULATION_CHUNK_BYTES", budget)
-                chunks = len(list(rpe.population_stacks(pops, 40, config, rows=13)))
+                chunks = len(rpe._population_chunks(40, config, len(pops), 13))
                 assert chunks == (11 if budget == 1 else 1)
                 results.append(rpe.population_rpe_scores(pops, 40, config, z_rows))
             np.testing.assert_allclose(results[0], results[1], rtol=rtol, atol=0)
@@ -501,7 +519,7 @@ class TestPopulationStacks:
         z_rows = rng.standard_normal((8, 6))
         config = rpe.RpeConfig(B=12, d=3, family=STP, master_seed=4)
         self._set_chunk(monkeypatch, 5, 3, 6, pops, len(z_rows))
-        seeds = [matrix.seed for stack in rpe.population_stacks(pops, 6, config, rows=8)
+        seeds = [matrix.seed for stack in population_stacks(pops, 6, config, rows=8)
                  for matrix in stack.matrices]
         redrawn = [b for b, seed in enumerate(seeds, start=1)
                    if seed != rpe.member_seed(4, b)]
@@ -514,6 +532,57 @@ class TestPopulationStacks:
                 pops, 6, rpe.RpeConfig(B=12, d=3, family=STP, master_seed=4,
                                        max_regen_retries=0), z_rows)
         assert err.value.member == 3
+
+    @pytest.mark.parametrize("B, members, chunks", [
+        (11, 11, 1), (11, 6, 2), (11, 4, 3), (11, 1, 11), (1, 4, 1)])
+    @pytest.mark.parametrize("family", [SN, STP])
+    def test_two_thread_split_matches_serial_sum(self, monkeypatch, B, members, chunks,
+                                                 family):
+        # the caller adds its chunks as it goes and the worker's afterwards:
+        # the same member-order sum as one thread fitting chunk after chunk
+        spec = schemes.build_example2(40, c=2.0, r=3, spike_bound=4.0, seed=4)
+        pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+        z_rows = np.random.default_rng(32).standard_normal((13, 40))
+        config = rpe.RpeConfig(B=B, d=4, family=family, master_seed=9)
+        self._set_chunk(monkeypatch, members, 4, 40, pops, len(z_rows))
+        assert len(rpe._population_chunks(40, config, 2, len(z_rows))) == chunks
+        got = rpe.population_rpe_scores(pops, 40, config, z_rows)
+        assert np.array_equal(got, serial_population_scores(pops, 40, config, z_rows))
+
+    @pytest.mark.parametrize("bad, named", [
+        ((6,), 6),      # only the worker's half fails
+        ((7, 5), 5),    # the worker's half fails twice, in two chunks
+        ((7, 3), 3),    # both halves fail
+        ((2,), 2),      # only the caller's half fails
+    ])
+    def test_first_failing_member_is_named(self, monkeypatch, bad, named):
+        # B = 8 in chunks of 2: the caller fits members 1-4, the worker 5-8;
+        # a member in ``bad`` gets a zero class covariance and cannot redraw
+        rng = np.random.default_rng(22)
+        pops = random_populations(rng, 10)
+        z_rows = rng.standard_normal((5, 10))
+        config = rpe.RpeConfig(B=8, d=3, master_seed=12, max_regen_retries=0)
+        self._set_chunk(monkeypatch, 2, 3, 10, pops, len(z_rows))
+        assert len(rpe._population_chunks(10, config, 2, len(z_rows))) == 4
+        bad_seeds = {rpe.member_seed(12, b) for b in bad}
+        real = rpe._population_moments
+
+        def failing(populations, p, d):
+            moments = real(populations, p, d)
+
+            def patched(matrices):
+                means, covs = moments(matrices)
+                for i, matrix in enumerate(matrices):
+                    if matrix.seed in bad_seeds:
+                        covs[i, 0] = 0.0
+                return means, covs
+
+            return patched
+
+        monkeypatch.setattr(rpe, "_population_moments", failing)
+        with pytest.raises(MemberDegenerate) as err:
+            rpe.population_rpe_scores(pops, 10, config, z_rows)
+        assert err.value.member == named
 
     def test_non_finite_rows_rejected(self):
         rng = np.random.default_rng(21)

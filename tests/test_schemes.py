@@ -123,6 +123,18 @@ class TestBuildExample2:
         with pytest.raises(InvalidCovariance):
             build_example2(50, c=2.0, r=2, spike_bound=0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, value):
+        with pytest.raises(InvalidCovariance, match="finite"):
+            build_example2(50, c=value, r=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_non_finite_spike_bound_rejected(self, value, r):
+        # rejected at r = 0 too: the spec records the bound
+        with pytest.raises(InvalidCovariance, match="finite"):
+            build_example2(50, c=2.0, r=r, spike_bound=value)
+
     def test_bad_rank_rejected(self):
         with pytest.raises(DimensionTooSmall):
             build_example2(10, c=2.0, r=11)

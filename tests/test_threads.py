@@ -1,7 +1,8 @@
 """The package's thread policy: BLAS on one thread inside every public
 call, with the caller's setting given back, results that do not depend on
-``OPENBLAS_NUM_THREADS``, and row work split into two halves, one on the
-calling thread and one on the worker."""
+``OPENBLAS_NUM_THREADS``, row work split into two halves, one on the
+calling thread and one on the worker, and splits inside a split run
+inline."""
 
 import os
 import subprocess
@@ -206,6 +207,59 @@ class TestInHalves:
         with pytest.raises(ValueError):
             linalg._in_halves(task, 4)
         assert written == [(2, 4)]
+
+
+class TestNestedSplits:
+    def test_split_inside_a_task_runs_inline_on_that_tasks_thread(self):
+        # both tasks split again: the worker's nested split would otherwise
+        # hand its second half to the one worker, itself, and wait forever
+        def task():
+            own = threading.get_ident()
+            return linalg._in_halves(
+                lambda lo, hi: (lo, hi, threading.get_ident() == own), 4)
+
+        results = []
+        call = threading.Thread(
+            target=lambda: results.append(linalg._in_parallel(task, task)), daemon=True)
+        call.start()
+        call.join(timeout=30)
+        assert not call.is_alive(), "nested split did not finish"
+        assert results == [[[(0, 2, True), (2, 4, True)]] * 2]
+        # outside any task the split goes to the worker again
+        assert TestInHalves.run(4, 1) == [(0, 2, True), (2, 4, False)]
+
+    def test_population_scores_agree_across_threads(self, monkeypatch):
+        # three threads score at once with a short switch interval; each
+        # call splits its chunks over its own thread and the shared worker,
+        # and every result must equal the one-thread-at-a-time result
+        spec = schemes.build_example2(40, c=2.0, r=3, spike_bound=4.0, seed=5)
+        pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+        z_rows = np.random.default_rng(6).standard_normal((6, 40))
+        config = rpe.RpeConfig(B=20, d=3, master_seed=3)
+        # chunks of 3 members: 7 chunks per call
+        monkeypatch.setattr(rpe, "POPULATION_CHUNK_BYTES", 3 * 8 * 3 * (2 * 40 + 2 * 6))
+        want = rpe.population_rpe_scores(pops, 40, config, z_rows)
+        mismatches, calls = [], []
+
+        def work():
+            for _ in range(15):
+                got = rpe.population_rpe_scores(pops, 40, config, z_rows)
+                calls.append(1)
+                if not np.array_equal(got, want):
+                    mismatches.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 45 and mismatches == []
 
 
 # A known-parameter alignment check small enough to run twice in a test.
