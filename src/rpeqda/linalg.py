@@ -26,11 +26,11 @@ through :func:`_in_parallel`.  Seeded draws that do not depend on one
 another (a replicate's two classes) are such parts: each draw has its own
 counter-based Philox stream (Salmon et al., 2011) and writes only its own
 output.  Row work is split by :func:`_in_halves` into two contiguous halves
-of whole pieces, one per thread: an ensemble's projection matrices (half
-of the seeds each), the sparse projection (half of the row blocks each),
-the finite-input scans (half of the scan steps each) and population mode's
-member chunks (half of the chunks each).  Each half computes what the
-whole would have computed for its rows, so no result depends on the
+of whole pieces, one per thread: an ensemble's dense projection matrices
+(half of the seeds each), the sparse projection (half of the row blocks
+each), the finite-input scans (half of the scan steps each) and population
+mode's member chunks (half of the chunks each).  Each half computes what
+the whole would have computed for its rows, so no result depends on the
 schedule.
 
 One rule covers nested splits: a split requested inside an

@@ -12,20 +12,22 @@ Generation is a pure function of (family, d, p, seed): the Philox stream
 for ``seed`` is consumed in a fixed, documented order, so a stored seed
 regenerates the matrix bit-exactly.  No row normalization or
 orthogonalization is applied.  :func:`generate_many` draws a list of
-matrices on two threads, one contiguous half of the seeds each; since
-every matrix has its own stream, the list equals drawing them one by one.
+matrices, dense ones on two threads, one contiguous half of the seeds each;
+since every matrix has its own stream, the list equals drawing them one by
+one.
 
-Projecting n rows through B sparse matrices costs one multiply-add per
-stored triplet per row, about n * B * d * sqrt(p) (Li, Hastie & Church,
-2006, "Very sparse random projections"), plus one pass over the n x p
-input to transpose it.  The triplets are stacked into one CSC matrix per
-call and applied to ``_SPARSE_BLOCK_ROWS`` rows at a time, so the extra
-memory is one transposed row block per thread, never a copy of the whole
-input.  The cost is split over two threads: the calling thread takes the
-first half of the row blocks and the worker of :mod:`rpeqda.linalg` the
-second, each writing its own columns of one output.  Every output still
-sums its nonzeros in column order, so the result does not depend on the
-block size or on the split.
+B matrices act on data as one (B * d) x p operator, built only by
+:func:`_stacked`.  Projecting n rows through B sparse matrices costs one
+multiply-add per stored triplet per row, about n * B * d * sqrt(p) (Li,
+Hastie & Church, 2006, "Very sparse random projections"), plus one pass
+over the n x p input to transpose it.  The stacked CSC operator is applied
+to ``_SPARSE_BLOCK_ROWS`` rows at a time, so the extra memory is one
+transposed row block per thread, never a copy of the whole input.  The
+cost is split over two threads: the calling thread takes the first half of
+the row blocks and the worker of :mod:`rpeqda.linalg` the second, each
+writing its own columns of one output.  Every output still sums its
+nonzeros in column order, so the result does not depend on the block size
+or on the split.
 """
 
 from dataclasses import dataclass
@@ -68,13 +70,6 @@ class ProjectionMatrix:
     cols: np.ndarray | None = None
     signs: np.ndarray | None = None
 
-    def to_dense(self) -> np.ndarray:
-        """A new d x p array holding the matrix; population mode densifies
-        sparse members through it."""
-        if self.entries is not None:
-            return self.entries.copy()
-        return _stacked_csc([self]).toarray()
-
 
 def generate(family: ProjectionFamily, d: int, p: int, seed: int) -> ProjectionMatrix:
     """Generate a projection matrix deterministically from ``seed``.
@@ -107,74 +102,51 @@ def generate(family: ProjectionFamily, d: int, p: int, seed: int) -> ProjectionM
 def generate_many(family: ProjectionFamily, d: int, p: int, seeds) -> list:
     """``[generate(family, d, p, seed) for seed in seeds]``, in seed order.
 
-    The calling thread draws the first half of the seeds and the worker
-    the second half (``linalg._in_halves``); an error from either half
-    reaches the caller, the first half's when both fail.
+    Dense draws are split: the calling thread draws the first half of the
+    seeds and the worker the second half (``linalg._in_halves``); an error
+    from either half reaches the caller, the first half's when both fail.
+    A sparse draw is many small numpy calls that hold the interpreter lock,
+    slower on two threads than on one, so it stays on the calling thread.
     """
     seeds = list(seeds)
-    halves = _in_halves(
-        lambda lo, hi: [generate(family, d, p, seed) for seed in seeds[lo:hi]], len(seeds))
-    return [matrix for half in halves for matrix in half]
+
+    def draw(lo, hi):
+        return [generate(family, d, p, seed) for seed in seeds[lo:hi]]
+
+    if family is not ProjectionFamily.STANDARD_NORMAL:
+        return draw(0, len(seeds))
+    return [matrix for half in _in_halves(draw, len(seeds)) for matrix in half]
 
 
-def _stacked_csc(matrices) -> sp.csc_matrix:
-    """The (B * d) x p CSC matrix of B sparse matrices stacked by rows."""
-    d = matrices[0].d
-    rows = np.concatenate([m.rows + b * d for b, m in enumerate(matrices)])
+def _stacked(matrices):
+    """The (B * d) x p operator of B matrices stacked by rows: a C-ordered
+    array for the dense family, a CSC matrix for the sparse one.  Raises
+    ``DimensionMismatch`` when the matrices differ in family, d or p."""
+    kinds = {(m.family.value, m.d, m.p) for m in matrices}
+    if len(kinds) > 1:
+        raise DimensionMismatch(f"matrices differ in (family, d, p): {sorted(kinds)}")
+    first = matrices[0]
+    if first.family is ProjectionFamily.STANDARD_NORMAL:
+        return np.concatenate([m.entries for m in matrices], axis=0)
+    rows = np.concatenate([m.rows + b * first.d for b, m in enumerate(matrices)])
     cols = np.concatenate([m.cols for m in matrices])
     signs = np.concatenate([m.signs for m in matrices]).astype(np.float64)
-    return sp.csc_matrix((signs, (rows, cols)), shape=(len(matrices) * d, matrices[0].p))
-
-
-def _sparse_product(matrices, x: np.ndarray) -> np.ndarray:
-    """(B * d, n) product of the stacked sparse matrices with x.T, one
-    block of ``_SPARSE_BLOCK_ROWS`` rows of x at a time, the first half of
-    the blocks on the calling thread and the second on the worker."""
-    stacked = _stacked_csc(matrices)
-    n = x.shape[0]
-    out = np.empty((stacked.shape[0], n))
-
-    def blocks(lo, hi):
-        for start in range(lo, hi, _SPARSE_BLOCK_ROWS):
-            stop = min(start + _SPARSE_BLOCK_ROWS, hi)
-            out[:, start:stop] = stacked @ np.ascontiguousarray(x[start:stop].T)
-
-    _in_halves(blocks, n, _SPARSE_BLOCK_ROWS)
-    return out
+    return sp.csc_matrix((signs, (rows, cols)), shape=(len(matrices) * first.d, first.p))
 
 
 def project(r: ProjectionMatrix, x: np.ndarray) -> np.ndarray:
-    """Apply the projection to the rows of ``x``: (n, p) -> (n, d).
-
-    A 1-d input of length p is treated as a single row and returns shape
-    (d,).  Sparse matrices go through the blocked product of
-    :func:`project_many`, so ``project(r, x)`` equals
-    ``project_many([r], x)[0]`` bit for bit.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != r.p:
-        raise DimensionMismatch(
-            f"data has {x.shape[1]} columns, projection expects {r.p}")
-    if r.entries is not None:
-        out = x @ r.entries.T
-    else:
-        out = _sparse_product([r], x).T
-    return out[0] if single else out
+    """Apply the projection to the rows of the 2-d ``x``: (n, p) -> (n, d),
+    as ``project_many([r], x)[0]``."""
+    return project_many([r], x)[0]
 
 
 def project_many(matrices, x: np.ndarray) -> np.ndarray:
-    """Project ``x`` (n, p) through a list of B same-shape matrices at once.
+    """Project ``x`` (n, p) through a list of B matrices at once.
 
-    Returns an array of shape (B, n, d).  All matrices must share d, p and
-    family.  Dense payloads are stacked into a single matmul against x.T.
-    Sparse triplets are stacked into one CSC matrix and applied to
-    contiguous blocks of ``_SPARSE_BLOCK_ROWS`` transposed rows: about
-    n * B * d * sqrt(p) multiply-adds plus one O(n * p) transpose, split
-    over two threads by halves of the row blocks, with one row block per
-    thread, not a copy of x, as the extra memory.
+    Returns an array of shape (B, n, d).  The matrices must share family, d
+    and p (``DimensionMismatch`` otherwise): they act as the one operator of
+    :func:`_stacked`, a dense one in one matmul against x.T, a sparse one
+    in blocks of ``_SPARSE_BLOCK_ROWS`` transposed rows on two threads.
     """
     x = np.asarray(x, dtype=np.float64)
     b = len(matrices)
@@ -184,9 +156,16 @@ def project_many(matrices, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != p:
         raise DimensionMismatch(
             f"data of shape {x.shape} against projections with p={p}")
-    if matrices[0].entries is not None:
-        stacked = np.concatenate([m.entries for m in matrices], axis=0)
+    stacked, n = _stacked(matrices), x.shape[0]
+    if isinstance(stacked, np.ndarray):
         out = stacked @ x.T
     else:
-        out = _sparse_product(matrices, x)
-    return np.ascontiguousarray(out.reshape(b, d, x.shape[0]).transpose(0, 2, 1))
+        out = np.empty((b * d, n))
+
+        def blocks(lo, hi):
+            for start in range(lo, hi, _SPARSE_BLOCK_ROWS):
+                stop = min(start + _SPARSE_BLOCK_ROWS, hi)
+                out[:, start:stop] = stacked @ np.ascontiguousarray(x[start:stop].T)
+
+        _in_halves(blocks, n, _SPARSE_BLOCK_ROWS)
+    return np.ascontiguousarray(out.reshape(b, d, n).transpose(0, 2, 1))

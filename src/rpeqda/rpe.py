@@ -31,6 +31,8 @@ applied columnwise through a structured handle so the ambient covariance
 is never materialized.  Its members are built and scored in chunks; a
 chunk holds as many members as fit in ``POPULATION_CHUNK_BYTES``, so the
 member arrays alive at once (one chunk per thread) do not grow with B.
+Each handle applies Sigma_k to a chunk's m·d matrix rows in one call, taken
+from the chunk's stacked operator (``randproj._stacked``, made dense).
 The calling thread fits and scores the first half of the chunks and the
 worker of :mod:`rpeqda.linalg` the second; the worker's splits inside its
 half (the draws, the sparse products) run inline, as do the caller's.
@@ -43,7 +45,7 @@ first half of its steps on the calling thread and the second on the
 worker of :mod:`rpeqda.linalg`, and names the first bad row either way.
 
 Every draw of member matrices, first draws and redraws alike, is one
-``randproj.generate_many`` call, which splits the seeds over two threads.
+``randproj.generate_many`` call, which splits dense draws over two threads.
 The public fit and scoring calls run BLAS on one thread
 (``linalg._one_blas_thread``), so their results do not depend on the
 caller's ``OPENBLAS_NUM_THREADS``.
@@ -66,7 +68,8 @@ from .errors import (
 from .linalg import _in_halves, _one_blas_thread
 from .qda import class_moments, class_scores_rows, factor_covariances
 # generate stays bound here too: perfbench's tracer self-test reads rpe.generate
-from .randproj import ProjectionFamily, generate, generate_many, project_many  # noqa: F401
+from .randproj import (  # noqa: F401
+    ProjectionFamily, _stacked, generate, generate_many, project_many)
 from .rng import mix
 
 DEFAULT_ENSEMBLE_SIZE = 200
@@ -311,11 +314,11 @@ def _population_moments(populations, p: int, d: int):
     columns of the m members."""
 
     def moments(matrices):
-        # dense payloads stack as they are; sparse triplets are densified
-        dense = np.stack([matrix.entries if matrix.entries is not None else matrix.to_dense()
-                          for matrix in matrices])
+        flat = _stacked(matrices)
+        if not isinstance(flat, np.ndarray):
+            flat = flat.toarray(order="C")
         m = len(matrices)
-        flat = dense.reshape(m * d, p)
+        dense = flat.reshape(m, d, p)
         means, covs = [], []
         for _, mean, cov in populations:
             means.append((flat @ np.asarray(mean, dtype=np.float64)).reshape(m, d))

@@ -173,7 +173,8 @@ def _class_arrays(classes, labels, d):
     """The priors (J,) and the stacked means (B, J, d), factors
     (B, J, d, d) and log-determinants (B, J) of every member's class
     entries, checking that each member lists the model's classes with
-    member 1's priors (and their logarithms) and d-dimensional fields."""
+    member 1's priors (and their logarithms) and d-dimensional fields, all
+    finite."""
     priors = [c["prior"] for c in classes[0]]
     shared = [(prior, math.log(prior)) for prior in priors]
     means, lower, log_det = [], [], []
@@ -191,22 +192,35 @@ def _class_arrays(classes, labels, d):
             if means[-1].shape != (d,) or lower[-1].shape != (d, d):
                 raise ModelFormatError(
                     f"member {b}, class {c['label']!r}: mean or factor is not of dimension {d}")
+            if not (np.isfinite(means[-1]).all() and np.isfinite(lower[-1]).all()
+                    and math.isfinite(log_det[-1]) and math.isfinite(c["prior"])):
+                raise ModelFormatError(f"member {b}, class {c['label']!r}: "
+                                       f"prior, mean, factor or log_det is not finite")
     shape = (len(classes), len(labels))
     return (np.array(priors, dtype=np.float64), np.stack(means).reshape(shape + (d,)),
             np.stack(lower).reshape(shape + (d, d)), np.array(log_det).reshape(shape))
 
 
 def _check_model(model: RpeModel) -> None:
-    """Check that every member's matrix is d x p and that every class
-    factor is lower triangular with a positive diagonal (checked on the
-    stacked (B, J, d, d) factors)."""
-    d, p = model.config.d, model.p
+    """Check that every member's matrix is a d x p matrix of the model's
+    family, stored as that family stores it (finite entries or triplets),
+    and that every class factor is lower triangular with a positive
+    diagonal (checked on the stacked (B, J, d, d) factors)."""
+    d, p, family = model.config.d, model.p, model.config.family
+    dense = family is ProjectionFamily.STANDARD_NORMAL
     for b, matrix in enumerate(model.members.matrices, start=1):
-        shape = matrix.entries.shape if matrix.entries is not None else (matrix.d, matrix.p)
+        if matrix.family is not family or (matrix.entries is not None) != dense:
+            raise ModelFormatError(
+                f"member {b}: {matrix.family.value!r} matrix stored as "
+                f"{'triplets' if matrix.entries is None else 'entries'}, model needs "
+                f"{family.value!r} stored as {'entries' if dense else 'triplets'}")
+        shape = matrix.entries.shape if dense else (matrix.d, matrix.p)
         if (matrix.d, matrix.p) != (d, p) or shape != (d, p):
             raise ModelFormatError(
                 f"member {b}: matrix is {shape[0]} x {shape[1]}, model is {d} x {p}")
-        if matrix.entries is None and not _triplets_fit(matrix):
+        if dense and not np.isfinite(matrix.entries).all():
+            raise ModelFormatError(f"member {b}: matrix entries are not all finite")
+        if not dense and not _triplets_fit(matrix):
             raise ModelFormatError(f"member {b}: sparse triplets do not fit {d} x {p}")
     lower = model.members.lower
     valid = (~np.triu(lower, 1).any(axis=(2, 3))

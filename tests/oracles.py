@@ -1,4 +1,5 @@
-"""Test-side oracles for the structured covariance handles.
+"""Test-side oracles for the structured covariance handles and the
+projection matrices.
 
 The library's handles carry only ``matvec``, ``solve``, ``log_det`` and
 ``fill``.  The tests check them against what this module builds on its own:
@@ -8,7 +9,9 @@ The library's handles carry only ``matvec``, ``solve``, ``log_det`` and
 * ``DenseCovariance`` -- a handle for an explicit SPD matrix, through its
   Cholesky factor;
 * ``draw(cov, n, rng)`` -- n rows from N(0, Sigma) as a new array:
-  allocate, then ``fill``.
+  allocate, then ``fill``;
+* ``dense_projection(matrix)`` -- the explicit d x p array of a projection
+  matrix, never through the library's stacked operator.
 """
 
 import numpy as np
@@ -107,4 +110,14 @@ def draw(cov, n, rng):
     """n rows from N(0, Sigma) of one handle, as a new (n, p) array."""
     out = np.empty((n, cov.p))
     cov.fill(rng, [out])
+    return out
+
+
+def dense_projection(matrix):
+    """The d x p array of a ProjectionMatrix: a copy of its entries, or
+    zeros with its signs scattered at (rows, cols)."""
+    if matrix.entries is not None:
+        return matrix.entries.copy()
+    out = np.zeros((matrix.d, matrix.p))
+    out[matrix.rows, matrix.cols] = matrix.signs
     return out

@@ -386,15 +386,17 @@ class TestCommands:
         "schema", "not_json", "not_utf8", "json_list", "missing_key", "member_count",
         "matrix_d", "matrix_p", "factor_upper", "factor_diag", "factor_size", "family",
         "no_members", "one_class", "sparse_triplet", "prior_member", "prior_log",
-        "config_d", "config_retries",
+        "config_d", "config_retries", "member_family", "member_kind", "mean_nan",
+        "log_det_inf", "prior_inf", "factor_nan", "entries_nan",
     ])
     def test_bad_model_file_exits_nonzero_with_error_line(self, tmp_path, capsys, corrupt):
         train_csv = tmp_path / "train.csv"
         write_toy_csv(train_csv)
         model_path = tmp_path / "model.json"
         family = ["--family", "stp"] if corrupt == "sparse_triplet" else []
+        compact = ["--compact"] if corrupt == "member_family" else []
         assert main(["train", "--data", str(train_csv), "--B", "4", "--d", "2",
-                     "--seed", "3", "--out", str(model_path)] + family) == 0
+                     "--seed", "3", "--out", str(model_path)] + family + compact) == 0
         payload = json.loads(model_path.read_text())
         member = payload["members"][1]
         factor = member["model"]["classes"][0]["cov_lower"]
@@ -433,6 +435,26 @@ class TestCommands:
             # consistent across members, but not the logarithm of the prior
             for m in payload["members"]:
                 m["model"]["classes"][0]["log_prior"] -= 0.5
+        elif corrupt == "member_family":
+            # an sn model whose member 2 regenerates as a sparse matrix
+            member["matrix"]["family"] = "stp"
+        elif corrupt == "member_kind":
+            # an sn member stored as sparse triplets
+            del member["matrix"]["entries"]
+            member["matrix"].update(rows=[0], cols=[1], signs=[1])
+        elif corrupt == "mean_nan":
+            member["model"]["classes"][0]["mean"][0] = float("nan")
+        elif corrupt == "log_det_inf":
+            member["model"]["classes"][1]["log_det"] = float("inf")
+        elif corrupt == "prior_inf":
+            # consistent across members, with a matching log prior
+            for m in payload["members"]:
+                m["model"]["classes"][0].update(prior=float("inf"), log_prior=float("inf"))
+        elif corrupt == "factor_nan":
+            # below the diagonal, where the triangular check does not look
+            factor[1][0] = float("nan")
+        elif corrupt == "entries_nan":
+            member["matrix"]["entries"][1][2] = float("nan")
         elif corrupt == "one_class":
             payload["class_labels"] = payload["class_labels"][:1]
             for m in payload["members"]:
@@ -449,7 +471,8 @@ class TestCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        if corrupt.startswith(("matrix", "factor", "sparse")) or corrupt == "prior_member":
+        if corrupt.startswith(("matrix", "factor", "sparse", "member_family", "member_kind",
+                               "mean", "log_det", "entries")) or corrupt == "prior_member":
             assert "member 2" in err
 
     @pytest.mark.parametrize("command", [

@@ -79,6 +79,15 @@ ALIGNMENT_FILL_SHA256 = {
     ("s3", 256): "7051c6a606c2982954212414b741f8607d96479332f2143092c9a5b1ce743bc4",
     ("example2-r3", 300): "915f7a001a8f50e1dd7628a10d6f16fb9b32b5f5ffd8e31db36db366f4026c4d",
 }
+# the same checks with family=stp, each chunk's sparse matrices densified
+# as one C-ordered (m·d) x p array.  The earlier layout, a stack of
+# F-ordered member arrays, gave the same example2 bytes; for s3 it gave the
+# same positive_count and a scaled_ensemble_mean 5.4e-15 relative lower,
+# from member scores that differed by at most 3e-16 relative
+ALIGNMENT_FILL_STP_SHA256 = {
+    ("s3", 256): "c1e429c154d97f8197f29d61ce08ee917fa90e321359c891070cb3bac090c354",
+    ("example2-r3", 300): "196a6945e2ae447a47d18246b5478b64ced95353fb216cdff104bde02b9f9395",
+}
 # float.hex of every kl_summary() value: s1's scaled AR blocks through the
 # column sweep, s3's scale pair and example2 (c=2.0, seed=1) in closed form
 KL_SUMMARY_HEX = {
@@ -178,15 +187,23 @@ def test_alignment_check_report():
     assert _sha([text.encode()]) == ALIGNMENT_SHA256
 
 
-@pytest.mark.parametrize("name, p", list(ALIGNMENT_FILL_SHA256))
-def test_alignment_check_report_through_fill(name, p):
+def _alignment_sha(name, p, family=None):
     if name.startswith("example2"):
         spec = schemes.build_example2(p, c=2.0, r=int(name[-1]), seed=1)
     else:
         spec = schemes.build_scheme(name, p)
-    check = evaluate.theorem_alignment_check(spec, draws=40, seed=7, d=8, B=60)
-    text = serialize.canonical_json(check.to_dict(include_timing=False))
-    assert _sha([text.encode()]) == ALIGNMENT_FILL_SHA256[name, p]
+    check = evaluate.theorem_alignment_check(spec, draws=40, seed=7, d=8, B=60, family=family)
+    return _sha([serialize.canonical_json(check.to_dict(include_timing=False)).encode()])
+
+
+@pytest.mark.parametrize("name, p", list(ALIGNMENT_FILL_SHA256))
+def test_alignment_check_report_through_fill(name, p):
+    assert _alignment_sha(name, p) == ALIGNMENT_FILL_SHA256[name, p]
+
+
+@pytest.mark.parametrize("name, p", list(ALIGNMENT_FILL_STP_SHA256))
+def test_alignment_check_report_through_fill_stp(name, p):
+    assert _alignment_sha(name, p, STP) == ALIGNMENT_FILL_STP_SHA256[name, p]
 
 
 @pytest.mark.parametrize("name, p", list(KL_SUMMARY_HEX))

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from rpeqda.errors import (
 )
 from rpeqda.randproj import ProjectionFamily, generate, project, project_many
 from rpeqda.rng import mix
+
+from oracles import dense_projection
 
 SN = ProjectionFamily.STANDARD_NORMAL
 STP = ProjectionFamily.SPARSE_THREE_POINT
@@ -48,7 +51,7 @@ class TestGenerate:
     def test_seed_determinism(self, family):
         a = generate(family, 4, 64, seed=123)
         b = generate(family, 4, 64, seed=123)
-        np.testing.assert_array_equal(a.to_dense(), b.to_dense())
+        np.testing.assert_array_equal(dense_projection(a), dense_projection(b))
 
     def test_distinct_seeds_differ(self):
         a = generate(SN, 2, 16, seed=1)
@@ -120,27 +123,37 @@ class TestProject:
             rows=np.array([0]), cols=np.array([5]), signs=np.array([1], dtype=np.int8))
         x = np.zeros(8)
         x[5] = 1.0
-        np.testing.assert_array_equal(project(m, x), np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(project(m, x[None, :]), np.array([[1.0, 0.0]]))
 
     def test_dense_sparse_cross_check(self):
         m = generate(STP, 6, 500, seed=3)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((20, 500))
         sparse_out = project(m, x)
-        dense_out = x @ m.to_dense().T
+        dense_out = x @ dense_projection(m).T
         assert np.max(np.abs(sparse_out - dense_out)) <= 1e-12
-
-    def test_vector_input_shape(self):
-        m = generate(SN, 4, 10, seed=5)
-        z = np.ones(10)
-        out = project(m, z)
-        assert out.shape == (4,)
-        np.testing.assert_array_equal(out, project(m, z[None, :])[0])
 
     def test_dimension_mismatch(self):
         m = generate(SN, 2, 10, seed=5)
         with pytest.raises(DimensionMismatch):
             project(m, np.ones((3, 11)))
+
+    @pytest.mark.parametrize("shape", [(10,), (1, 1, 10)])
+    def test_rows_must_be_two_dimensional(self, shape):
+        # a single point is one row, x[None, :]
+        m = generate(SN, 2, 10, seed=5)
+        with pytest.raises(DimensionMismatch):
+            project(m, np.ones(shape))
+
+    @pytest.mark.parametrize("other", [(STP, 2, 10), (SN, 3, 10), (SN, 2, 12)])
+    def test_project_many_needs_one_family_and_shape(self, other):
+        # the matrices act as one stacked operator, so they must agree in
+        # family, d and p, whichever of them differs
+        mats = [generate(SN, 2, 10, seed=s) for s in (1, 2)]
+        odd = generate(*other, seed=3)
+        for matrices in ([odd] + mats, mats + [odd]):
+            with pytest.raises(DimensionMismatch):
+                project_many(matrices, np.ones((3, 10)))
 
     @pytest.mark.parametrize("family", [SN, STP])
     def test_project_many_matches_individual(self, family):
@@ -168,7 +181,7 @@ class TestProject:
         for i, m in enumerate(mats):
             np.testing.assert_array_equal(project(m, x), expected[i])
             np.testing.assert_array_equal(project(m, x), project_many([m], x)[0])
-        np.testing.assert_array_equal(project(mats[0], x[-1]), expected[0, -1])
+        np.testing.assert_array_equal(project(mats[0], x[-1][None, :])[0], expected[0, -1])
 
     def test_project_many_needs_a_matrix(self):
         with pytest.raises(EmptyInput) as err:
@@ -229,6 +242,24 @@ class TestGenerateMany:
             child.kill()
             child.join()
         assert child.exitcode == 0
+
+
+class TestDrawThreads:
+    @pytest.mark.parametrize("family, split", [(SN, True), (STP, False)])
+    def test_only_dense_draws_leave_the_calling_thread(self, monkeypatch, family, split):
+        # a sparse draw holds the interpreter lock, so splitting it is slower
+        names = []
+        original = randproj.generate
+
+        def spy(*args):
+            names.append(threading.current_thread().name)
+            return original(*args)
+
+        monkeypatch.setattr(randproj, "generate", spy)
+        randproj.generate_many(family, 3, 40, range(8))
+        caller = threading.current_thread().name
+        assert len(names) == 8
+        assert (set(names) != {caller}) == split
 
 
 def draw_four():

@@ -23,7 +23,7 @@ from rpeqda.errors import (
 )
 from rpeqda.randproj import ProjectionFamily, generate, project
 
-from oracles import DenseCovariance, dense
+from oracles import DenseCovariance, dense, dense_projection
 
 SN = ProjectionFamily.STANDARD_NORMAL
 STP = ProjectionFamily.SPARSE_THREE_POINT
@@ -63,7 +63,7 @@ class TestFit:
         m1 = rpe.rpe_fit(data, config)
         m2 = rpe.rpe_fit(data, config)
         for a, b in zip(m1.members.matrices, m2.members.matrices):
-            np.testing.assert_array_equal(a.to_dense(), b.to_dense())
+            np.testing.assert_array_equal(dense_projection(a), dense_projection(b))
         z = np.random.default_rng(2).standard_normal((10, 5))
         np.testing.assert_array_equal(rpe.rpe_scores_rows(m1, z),
                                       rpe.rpe_scores_rows(m2, z))
@@ -154,7 +154,7 @@ class TestFit:
         config = rpe.RpeConfig(B=1, d=3, master_seed=5)
         model = rpe.rpe_fit(data, config)
         stack = model.members
-        r = stack.matrices[0].to_dense()
+        r = dense_projection(stack.matrices[0])
         for j, label in enumerate(model.class_labels):
             rows = data.features[data.class_indices(label)]
             mu = rows.mean(axis=0)
@@ -405,7 +405,7 @@ class TestPopulationMode:
             for matrix, log_det in zip(stack.matrices, stack.log_det):
                 gap = log_det[1] - log_det[0]
                 assert gap == pytest.approx(6 * math.log(2.0), rel=1e-10)
-                r = matrix.to_dense()
+                r = dense_projection(matrix)
                 want = np.linalg.slogdet(r @ dense_cov @ r.T)[1]
                 assert log_det[0] == pytest.approx(want, rel=1e-8)
                 members += 1
@@ -431,9 +431,9 @@ def oracle_population_scores(populations, p, config, z_rows):
             try:
                 classes = []
                 for prior, mean, cov in populations:
-                    s = project(matrix, cov.matvec(matrix.to_dense().T).T)
+                    s = project(matrix, cov.matvec(dense_projection(matrix).T).T)
                     factor = linalg.cholesky((s + s.T) / 2.0 + config.ridge * np.eye(d))
-                    classes.append((math.log(prior), project(matrix, mean), *factor))
+                    classes.append((math.log(prior), project(matrix, mean[None, :])[0], *factor))
                 break
             except NotPositiveDefinite:
                 continue
