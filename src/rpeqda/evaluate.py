@@ -6,10 +6,16 @@ report is bit-reproducible and replicates are independent of execution
 order):
 
 * replicate r, class k draws its data from mix(data_seed, r, k), train
-  rows first, test rows after, from one stream; the two classes are drawn
-  on two threads (``linalg._in_parallel``), each straight into its own
-  train and test rows, and since each has its own stream and its own
-  rows the result does not depend on the schedule;
+  rows first, test rows after, from one stream, straight into its own
+  train and test rows;
+* dense (sn) replicates run two at a time, r and r + 1 one per thread
+  (``linalg._in_parallel``), each on its own train and test arrays, when
+  two replicates' matrices and rows fit ``_PAIR_BYTES``; the classes of
+  a paired replicate are drawn in turn on its thread.  Other replicates
+  run one at a time and draw their two classes on two threads.  Every
+  replicate and class has its own stream and its own rows, and results
+  are kept in replicate order, so the report does not depend on the
+  schedule, and the error raised is the first failing replicate's;
 * replicate r's projection master seed is mix(data_seed, r, PROJECTION_TAG);
 * LOOCV fold i redraws projections from mix(master_seed, i);
 * the s4 rotation uses mix(data_seed, STRUCTURE_TAG) unless a structure
@@ -36,8 +42,10 @@ class EvalReport:
 
     ``per_replicate`` holds one empirical misclassification value in
     [0, 1] per replicate (or per LOOCV fold); ``mean``/``sd`` are always
-    recomputable from it.  ``timing_seconds`` is informational only and is
-    excluded from the canonical serialized form, which must be
+    recomputable from it.  ``timing_seconds`` holds each replicate's own
+    wall time; paired replicates run at the same time, so their times
+    overlap and may sum to more than the run took.  It is informational
+    only and is excluded from the canonical serialized form, which must be
     bit-identical across reruns with the same seeds.
     """
 
@@ -103,6 +111,28 @@ def _mean_sd(values):
     return mean, sd
 
 
+# Two replicates run at once when their dense matrices and rows together
+# take at most this many bytes.  A pair keeps a second replicate alive, so
+# this caps the memory pairing adds at 64 MiB.  It admits s2 at p = 2048,
+# B = 200, d = 10 with 600 rows (43 MB a replicate), where a two-replicate
+# run took 0.38 s paired against 0.60 s one at a time, with no rise in
+# peak RSS (medians of 10 alternating 20 s benchmark runs, 2-core host).
+# One s3 p = 65536 sn replicate holds 1.4 GB, so it stays alone.
+_PAIR_BYTES = 128 * 1024 * 1024
+
+
+def _replicates_in_pairs(config: rpe.RpeConfig, p: int, n_train: int, n_test: int) -> bool:
+    """Whether replicates run two at a time, one per thread.  Only dense
+    (sn) replicates pair: a sparse draw holds the interpreter lock, so two
+    would mostly wait on each other.  A replicate holds its B·d x p matrix
+    block and its 2·(n_train + n_test) rows of p values, and a pair must
+    fit ``_PAIR_BYTES``."""
+    if config.family is not rpe.ProjectionFamily.STANDARD_NORMAL:
+        return False
+    d = config.d if config.d is not None else rpe.default_reduced_dim(p, n_train)
+    return 2 * 8 * p * (config.B * d + 2 * (n_train + n_test)) <= _PAIR_BYTES
+
+
 @_one_blas_thread()
 def run_scheme_experiment(scheme_id, p: int, n_train_per_class: int,
                           n_test_per_class: int, reps: int,
@@ -113,7 +143,8 @@ def run_scheme_experiment(scheme_id, p: int, n_train_per_class: int,
     ``scheme_id`` may also be a prebuilt :class:`schemes.SchemeSpec`
     (yields the same protocol with custom populations, e.g. the spiked
     scale family).  Each replicate draws fresh data and a fresh projection
-    master seed, both derived from ``data_seed``.
+    master seed, both derived from ``data_seed``; dense replicates run in
+    pairs when :func:`_replicates_in_pairs` allows.
     """
     if isinstance(scheme_id, schemes.SchemeSpec):
         spec = scheme_id
@@ -126,26 +157,34 @@ def run_scheme_experiment(scheme_id, p: int, n_train_per_class: int,
             f"d={config.d} exceeds n_train_per_class - 1 = {n_train_per_class - 1}")
 
     kl = schemes.kl_summary(spec)
-    deltas, timings = [], []
     n_train, n_test = n_train_per_class, n_test_per_class
     test_truth = [str(k) for k in (1, 2) for _ in range(n_test)]
     train_labels = tuple(str(k) for k in (1, 2) for _ in range(n_train))
-    # every replicate refills these, class k straight into its own rows
-    train_rows = np.empty((2 * n_train, spec.p))
-    test_rows = np.empty((2 * n_test, spec.p))
-    class_rows = [(train_rows[i * n_train:(i + 1) * n_train],
-                   test_rows[i * n_test:(i + 1) * n_test]) for i in range(2)]
-    for r in range(1, reps + 1):
+
+    def replicate(r, train_rows, test_rows):
         start = time.perf_counter()
         # class 1's error, if any, is raised first
         _in_parallel(*[partial(schemes.sample, spec, k, n_train + n_test,
-                               mix(data_seed, r, k), out=rows)
-                       for k, rows in zip((1, 2), class_rows)])
+                               mix(data_seed, r, k),
+                               out=(train_rows[i * n_train:(i + 1) * n_train],
+                                    test_rows[i * n_test:(i + 1) * n_test]))
+                       for i, k in enumerate((1, 2))])
         rep_config = replace(config, master_seed=mix(data_seed, r, PROJECTION_TAG))
         model = rpe.rpe_fit(Dataset(train_rows, train_labels), rep_config)
         predictions = rpe.rpe_predict_rows(model, test_rows)
-        deltas.append(misclassification(predictions, test_truth))
-        timings.append(time.perf_counter() - start)
+        return misclassification(predictions, test_truth), time.perf_counter() - start
+
+    # every replicate of a group runs on its own thread and refills its own
+    # train and test rows, class k straight into its own rows
+    group = 2 if _replicates_in_pairs(config, spec.p, n_train, n_test) else 1
+    buffers = [(np.empty((2 * n_train, spec.p)), np.empty((2 * n_test, spec.p)))
+               for _ in range(min(group, reps))]
+    results = []
+    for first in range(1, reps + 1, group):
+        results += _in_parallel(*[partial(replicate, r, *rows) for r, rows in
+                                  zip(range(first, min(first + group, reps + 1)), buffers)])
+    deltas = [delta for delta, _ in results]
+    timings = [seconds for _, seconds in results]
 
     mean, sd = _mean_sd(deltas)
     echo = {

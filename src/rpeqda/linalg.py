@@ -22,11 +22,12 @@ it saves, and OpenBLAS can round a product differently on one thread and on
 several, so one thread also makes every result independent of
 ``OPENBLAS_NUM_THREADS``.  Work that splits into independent parts runs on
 ``_WORKER_THREADS`` (two) threads, the caller and one shared worker,
-through :func:`_in_parallel`.  Seeded draws that do not depend on one
-another (a replicate's two classes) are such parts: each draw has its own
-counter-based Philox stream (Salmon et al., 2011) and writes only its own
-output.  Row work is split by :func:`_in_halves` into two contiguous halves
-of whole pieces, one per thread: an ensemble's dense projection matrices
+through :func:`_in_parallel`.  Seeded work that does not depend on other
+work is such a part: a replicate's two classes, or two whole dense (sn)
+replicates of a benchmark; each draw has its own counter-based Philox
+stream (Salmon et al., 2011) and writes only its own output.  Row work is
+split by :func:`_in_halves` into two contiguous halves of whole pieces,
+one per thread: an ensemble's dense projection matrices
 (half of the seeds each), the sparse projection (half of the row blocks
 each), the finite-input scans (half of the scan steps each) and population
 mode's member chunks (half of the chunks each).  Each half computes what
@@ -131,8 +132,13 @@ def cholesky_stack(s: np.ndarray):
                 pass
     diag = np.diagonal(lower, axis1=-2, axis2=-1)
     ok = np.all(diag * diag > _pivot_tolerance(s)[..., None], axis=-1)
-    log_det = 2.0 * np.sum(np.log(diag), axis=-1)
-    return lower, log_det, ok
+    return lower, factor_log_det(lower), ok
+
+
+def factor_log_det(lower: np.ndarray) -> np.ndarray:
+    """``log det(L L') = 2 sum(log diag L)`` of every factor of an
+    (..., dim, dim) stack, shape (...)."""
+    return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
 
 
 def solve_quadratic_form_rows(lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -321,10 +327,12 @@ def _in_parallel(*tasks) -> list:
     failing task in task order.  Called inside a task of another
     ``_in_parallel`` call, on either thread, it runs the tasks in order on
     the current thread instead, stopping at the first that raises; so a
-    task may split its own work without waiting on a busy worker.
+    task may split its own work without waiting on a busy worker.  A lone
+    task runs on the calling thread as a plain call, free to split its own
+    work over both threads.
     """
     global _workers
-    if getattr(_task_state, "inside", False):
+    if len(tasks) < 2 or getattr(_task_state, "inside", False):
         return [task() for task in tasks]
     with _worker_lock:
         if _workers is None:

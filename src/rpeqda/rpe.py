@@ -13,10 +13,13 @@ array-form QDA of :mod:`rpeqda.qda` at index b.  Sample fit, population
 fit, scoring and model files all use this one representation.  Fitting
 computes every member's class moments at once (``qda.class_moments`` in
 sample mode), factors them with one batched Cholesky and redraws only the
-members that fail; scoring projects the rows through all matrices at once
-and scores every member with one ``qda.class_scores_rows`` call, a block
-of rows at a time so that the (B, J, d, rows) arrays of a large batch stay
-within ``_SCORE_BLOCK_BYTES``.
+members that fail.  Dense (sn) matrices are drawn into one (B·d) x p block
+(``randproj.generate_many``), which is the stacked operator every
+projection applies, so the fit holds its matrices once.  Scoring takes
+the rows in blocks of ``_SCORE_BLOCK_BYTES`` of member arrays: it projects
+a block through all matrices at once, then runs ``qda.class_scores_rows``
+over tiles of members x rows that stay within ``POPULATION_CHUNK_BYTES``,
+so the kernel's (members, J, d, rows) arrays stay cache-sized.
 
 Member b's matrix is generated from the derived seed mix(master_seed, b)
 (b = 1..B), so fitting and scoring are independent of processing order.
@@ -32,7 +35,8 @@ is never materialized.  Its members are built and scored in chunks; a
 chunk holds as many members as fit in ``POPULATION_CHUNK_BYTES``, so the
 member arrays alive at once (one chunk per thread) do not grow with B.
 Each handle applies Sigma_k to a chunk's m·d matrix rows in one call, taken
-from the chunk's stacked operator (``randproj._stacked``, made dense).
+from the chunk's stacked operator (``randproj._stacked``: for sn the block
+the chunk's matrices were drawn into, for stp made dense).
 The calling thread fits and scores the first half of the chunks and the
 worker of :mod:`rpeqda.linalg` the second; the worker's splits inside its
 half (the draws, the sparse products) run inline, as do the caller's.
@@ -75,18 +79,25 @@ from .rng import mix
 DEFAULT_ENSEMBLE_SIZE = 200
 DEFAULT_DIM_CAP = 10
 
-# Population mode holds about this many bytes of stacked member arrays at
-# a time (matrices, counted twice, plus projected rows), so its memory does
-# not grow with B: 2 MiB holds 7 members at d = 8, p = 2000 with 100 rows
-# and two classes.  Larger chunks save little time once per-call overhead
-# is spread over a chunk, but cost memory.
+# Member arrays held at a time by one population chunk and by one tile of
+# the scoring kernel.  A chunk counts its matrices twice (the dense stacked
+# operator and its product with a class covariance, each m·d x p) plus its
+# projected class offsets, so population memory does not grow with B:
+# 2 MiB holds 7 members at d = 8, p = 2000 with 100 rows and two classes.
+# Larger chunks save little time once per-call overhead is spread over a
+# chunk, but cost memory.  A kernel tile counts 16·J·d bytes per member and
+# row, so such a chunk (179 KB) is one tile.  The kernel over 400 rows at
+# B = 200, d = 10 and two classes (one block) took 26 ms in this budget's
+# 16-member tiles, 42 ms as one tile and 32-33 ms in tiles of 32 or 64
+# rows of every member (medians of 21, one thread, 2-core host).
 POPULATION_CHUNK_BYTES = 2 * 1024 * 1024
 
-# Sample-mode scoring takes rows in blocks whose member arrays (projected
-# rows, centred and whitened rows: 8·B·d·(1 + 2J) bytes per row) fill about
-# this many bytes, so a large batch does not hold them for every row at
-# once.  At B = 200, d = 10 and two classes a block is 419 rows, so a
-# 400-row call is one block.
+# Sample-mode scoring projects rows in blocks of about this many bytes,
+# counted as 8·B·d·(1 + 2J) per row, so a large batch does not hold its
+# member arrays for every row at once.  At B = 200, d = 10 and two classes
+# a block is 419 rows, so a 400-row call is one block.  A dense product's
+# rounding can depend on how many rows it holds, so the blocks keep the
+# size they had when the kernel ran on a whole block.
 _SCORE_BLOCK_BYTES = 32 * 1024 * 1024
 
 # Finite checks scan this many values at a time, so they allocate no
@@ -220,10 +231,31 @@ def _fit_stack(config: RpeConfig, p: int, members, moments) -> MemberStack:
            f"after {config.max_regen_retries} redraws")
 
 
+def _tiles(members: int, rows: int, unit: int) -> list:
+    """(member slice, row slice) tiles that cover members x rows, each
+    holding at most ``POPULATION_CHUNK_BYTES`` at ``unit`` bytes per member
+    and row where it can: as many members with all their rows as fit, and
+    fewer rows only when one member's rows do not fit."""
+    tile_members = min(members, max(1, POPULATION_CHUNK_BYTES // max(1, rows * unit)))
+    tile_rows = max(1, min(rows, POPULATION_CHUNK_BYTES // (tile_members * unit)))
+    return [(slice(m, m + tile_members), slice(r, r + tile_rows))
+            for m in range(0, members, tile_members) for r in range(0, rows, tile_rows)]
+
+
 def _member_scores(stack: MemberStack, priors, z_rows: np.ndarray) -> np.ndarray:
-    """Every member's class scores of ``z_rows``, (m, n, J)."""
-    return class_scores_rows(priors, stack.means, stack.lower, stack.log_det,
-                             project_many(stack.matrices, z_rows))
+    """Every member's class scores of ``z_rows``, (m, n, J): one projection
+    of all the rows, then ``qda.class_scores_rows`` tile by tile (see
+    :func:`_tiles`; its centred and whitened rows take 16·J·d bytes per
+    member and row).  The kernel is elementwise, so every tiling gives the
+    same bytes."""
+    projected = project_many(stack.matrices, z_rows)
+    m, n, d = projected.shape
+    out = np.empty((m, n, len(priors)))
+    for members, rows in _tiles(m, n, 16 * len(priors) * d):
+        out[members, rows] = class_scores_rows(
+            priors, stack.means[members], stack.lower[members], stack.log_det[members],
+            projected[members, rows])
+    return out
 
 
 def _add_members(acc: np.ndarray, member_scores: np.ndarray) -> None:
@@ -332,8 +364,8 @@ def _population_moments(populations, p: int, d: int):
 
 def _population_chunks(p: int, config: RpeConfig, classes: int, rows: int) -> list:
     """Members 1..B cut into ranges, in member order, each sized so that
-    two copies of its matrices (their payloads and the stacked copy that
-    moments and scoring make) and the projected class offsets of ``rows``
+    two copies of its matrices (the dense stacked operator and a class
+    covariance applied to it) and the projected class offsets of ``rows``
     points take about ``POPULATION_CHUNK_BYTES``."""
     member_bytes = 8 * config.d * (2 * p + classes * rows)
     size = max(1, POPULATION_CHUNK_BYTES // member_bytes)

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ModelFormatError
+from .linalg import factor_log_det
 from .randproj import ProjectionFamily, ProjectionMatrix, generate
 from .rpe import MemberStack, RpeConfig, RpeModel
 
@@ -205,7 +206,8 @@ def _check_model(model: RpeModel) -> None:
     """Check that every member's matrix is a d x p matrix of the model's
     family, stored as that family stores it (finite entries or triplets),
     and that every class factor is lower triangular with a positive
-    diagonal (checked on the stacked (B, J, d, d) factors)."""
+    diagonal and has the stored log-determinant (checked on the stacked
+    (B, J, d, d) factors)."""
     d, p, family = model.config.d, model.p, model.config.family
     dense = family is ProjectionFamily.STANDARD_NORMAL
     for b, matrix in enumerate(model.members.matrices, start=1):
@@ -230,6 +232,13 @@ def _check_model(model: RpeModel) -> None:
         raise ModelFormatError(
             f"member {b + 1}, class {model.class_labels[j]!r}: covariance factor is "
             f"not lower triangular with a positive diagonal")
+    # the fit stores exactly this value, and scoring reads the stored one
+    matches = model.members.log_det == factor_log_det(lower)
+    if not matches.all():
+        b, j = np.unravel_index(int(np.argmin(matches)), matches.shape)
+        raise ModelFormatError(
+            f"member {b + 1}, class {model.class_labels[j]!r}: log_det "
+            f"{model.members.log_det[b, j]!r} is not 2*sum(log(diag)) of its factor")
 
 
 def _triplets_fit(matrix: ProjectionMatrix) -> bool:

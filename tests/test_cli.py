@@ -387,7 +387,7 @@ class TestCommands:
         "matrix_d", "matrix_p", "factor_upper", "factor_diag", "factor_size", "family",
         "no_members", "one_class", "sparse_triplet", "prior_member", "prior_log",
         "config_d", "config_retries", "member_family", "member_kind", "mean_nan",
-        "log_det_inf", "prior_inf", "factor_nan", "entries_nan",
+        "log_det_inf", "log_det_shift", "prior_inf", "factor_nan", "entries_nan",
     ])
     def test_bad_model_file_exits_nonzero_with_error_line(self, tmp_path, capsys, corrupt):
         train_csv = tmp_path / "train.csv"
@@ -446,6 +446,9 @@ class TestCommands:
             member["model"]["classes"][0]["mean"][0] = float("nan")
         elif corrupt == "log_det_inf":
             member["model"]["classes"][1]["log_det"] = float("inf")
+        elif corrupt == "log_det_shift":
+            # finite, but not the log-determinant of the stored factor
+            member["model"]["classes"][0]["log_det"] += 40.0
         elif corrupt == "prior_inf":
             # consistent across members, with a matching log prior
             for m in payload["members"]:

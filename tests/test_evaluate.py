@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rpeqda import evaluate, rpe, schemes
+from rpeqda import evaluate, rpe, schemes, serialize
 from rpeqda.dataset import Dataset
 from rpeqda.errors import (
     DimensionMismatch,
@@ -20,6 +20,7 @@ from rpeqda.errors import (
     TooFewSamplesForClass,
 )
 from rpeqda.randproj import ProjectionFamily
+from rpeqda.rng import PROJECTION_TAG, mix
 
 
 class TestMisclassification:
@@ -145,6 +146,19 @@ class TestRunSchemeExperiment:
         assert not any(thread.is_alive() for thread in threads)
         assert got == want
 
+    @pytest.mark.parametrize("family", list(ProjectionFamily))
+    @pytest.mark.parametrize("reps", [1, 2, 3, 5])
+    def test_paired_replicates_equal_a_serial_run(self, monkeypatch, family, reps):
+        config = rpe.RpeConfig(B=6, d=3, family=family)
+
+        def report():
+            return serialize.canonical_json(evaluate.run_scheme_experiment(
+                "s1", 64, 15, 10, reps, config, data_seed=21).to_dict(include_timing=False))
+
+        paired = report()
+        monkeypatch.setattr(evaluate, "_replicates_in_pairs", lambda *args: False)
+        assert report() == paired
+
     def test_accepts_prebuilt_spec(self):
         spec = schemes.build_example2(64, c=2.0, r=0, seed=1)
         config = rpe.RpeConfig(B=10, d=3)
@@ -152,6 +166,95 @@ class TestRunSchemeExperiment:
                                                 data_seed=8)
         assert report.identifier == "example2"
         assert report.kl["kl_min_over_p"] > 0
+
+
+class TestReplicatePairs:
+    """Which thread fits each replicate and draws each of its classes, for
+    ``run_scheme_experiment("s1", 64, 15, 10, reps, config, data_seed=21)``."""
+
+    DATA_SEED = 21
+    # a pair of these replicates holds 2·8·p·(B·d + 2·(n_train + n_test)) bytes
+    PAIR_BYTES = 2 * 8 * 64 * (6 * 3 + 2 * (15 + 10))
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        fits, draws = {}, {}
+        replicate = {mix(self.DATA_SEED, r, PROJECTION_TAG): r for r in range(1, 6)}
+        fit, sample = rpe.rpe_fit, schemes.sample
+
+        def fit_spy(data, config):
+            fits[replicate[config.master_seed]] = threading.current_thread().name
+            return fit(data, config)
+
+        def sample_spy(spec, k, n, seed, out=None):
+            draws[next((r, k) for r in range(1, 6) if mix(self.DATA_SEED, r, k) == seed)] = (
+                threading.current_thread().name)
+            return sample(spec, k, n, seed, out=out)
+
+        monkeypatch.setattr(rpe, "rpe_fit", fit_spy)
+        monkeypatch.setattr(schemes, "sample", sample_spy)
+        return fits, draws
+
+    def run(self, reps, family=ProjectionFamily.STANDARD_NORMAL):
+        return evaluate.run_scheme_experiment(
+            "s1", 64, 15, 10, reps, rpe.RpeConfig(B=6, d=3, family=family),
+            data_seed=self.DATA_SEED)
+
+    def test_sn_replicates_run_in_pairs_and_an_odd_last_one_alone(self, threads):
+        fits, draws = threads
+        self.run(5)
+        caller = threading.current_thread().name
+        assert [fits[r] == caller for r in range(1, 6)] == [True, False, True, False, True]
+        # a paired replicate draws both classes on its own thread; the lone
+        # last one splits its draws over both threads
+        assert all(draws[r, k] == fits[r] for r in range(1, 5) for k in (1, 2))
+        assert draws[5, 1] == caller and draws[5, 2] != caller
+
+    def test_stp_replicates_stay_serial(self, threads):
+        fits, _ = threads
+        self.run(3, ProjectionFamily.SPARSE_THREE_POINT)
+        assert set(fits.values()) == {threading.current_thread().name}
+
+    def test_sn_replicates_over_the_budget_stay_serial(self, monkeypatch, threads):
+        fits, _ = threads
+        monkeypatch.setattr(evaluate, "_PAIR_BYTES", self.PAIR_BYTES - 1)
+        self.run(2)
+        assert set(fits.values()) == {threading.current_thread().name}
+        monkeypatch.setattr(evaluate, "_PAIR_BYTES", self.PAIR_BYTES)
+        self.run(2)
+        assert fits[2] != threading.current_thread().name
+
+    def test_pairing_rule_on_the_benchmark_cells(self):
+        sn = rpe.RpeConfig(B=200, d=10)
+        # s2 at p = 2048 holds 43 MB per replicate, s3 at p = 65536 1.4 GB
+        assert evaluate._replicates_in_pairs(sn, 2048, 100, 200)
+        assert not evaluate._replicates_in_pairs(sn, 65536, 100, 200)
+        assert not evaluate._replicates_in_pairs(
+            rpe.RpeConfig(B=200, d=10, family=ProjectionFamily.SPARSE_THREE_POINT),
+            2048, 100, 200)
+        # d = None resolves as the fit would: ceil(log 4096) = 9
+        assert not evaluate._replicates_in_pairs(rpe.RpeConfig(B=200), 4096, 100, 200)
+
+    @pytest.mark.parametrize("failing, raised", [((2, 3), 2), ((1, 2), 1)])
+    def test_first_failing_replicate_raises(self, monkeypatch, failing, raised):
+        # replicates 1 and 2 run at once, then 3 and 4; replicate 1 fails
+        # after replicate 2 has failed, and its error is still the one raised
+        errors = {r: InvalidCovariance(f"replicate {r}") for r in failing}
+        replicate = {mix(self.DATA_SEED, r, PROJECTION_TAG): r for r in range(1, 5)}
+        fit = rpe.rpe_fit
+
+        def flaky(data, config):
+            r = replicate[config.master_seed]
+            if r == 1:
+                time.sleep(0.05)
+            if r in errors:
+                raise errors[r]
+            return fit(data, config)
+
+        monkeypatch.setattr(rpe, "rpe_fit", flaky)
+        with pytest.raises(InvalidCovariance) as err:
+            self.run(4)
+        assert err.value is errors[raised]
 
 
 class TestLoocv:

@@ -280,6 +280,48 @@ def oracle_sample_fit(data, config):
     return [matrix.seed for matrix, _ in members], scores
 
 
+# SHA-256 of the means, factors, log-dets and 40 rows' scores of the p = 6
+# case below, recorded before dense matrices were drawn into one block;
+# "sn-forced" makes members 2 and 5 fail their first factorization and
+# member 5 its second, so both redraw.
+REDRAWN_SHA256 = {
+    "stp": "0e27443d97ef5b6f8454da30fe2697ceb9bb098430b7bdac3c875cfd90dccf36",
+    "sn": "e6584b796ae9f8b3bc32d1badcb8e545e7e8705ce984d5422100c8a36c060273",
+    "sn-forced": "8b19505a33bb02e17aceba4a0560eb839c8d1e336c12d7d7b2f5396a00ec6d2f",
+}
+
+
+def _p6_case():
+    rng = np.random.default_rng(41)
+    x = np.vstack([rng.standard_normal((10, 6)), rng.standard_normal((8, 6)) * 1.5 + 0.4])
+    return Dataset(x, ("a",) * 10 + ("b",) * 8), rng.standard_normal((40, 6)) * 1.5
+
+
+@pytest.mark.parametrize("name", list(REDRAWN_SHA256))
+def test_redrawn_stack_bytes(monkeypatch, name):
+    data, z_rows = _p6_case()
+    family = STP if name == "stp" else SN
+    if name == "sn-forced":
+        factor, calls = rpe.factor_covariances, []
+
+        def failing(covs, ridge):
+            lower, log_det, ok = factor(covs, ridge)
+            calls.append(len(covs))
+            ok[[[1, 4], [1], []][len(calls) - 1]] = False
+            return lower, log_det, ok
+
+        monkeypatch.setattr(rpe, "factor_covariances", failing)
+    model = rpe.rpe_fit(data, rpe.RpeConfig(B=12, d=3, family=family, master_seed=5))
+    if name == "sn-forced":
+        assert calls == [12, 2, 1]
+        assert [m.seed for m in model.members.matrices[:5]] == [
+            rpe.member_seed(5, 1), rpe.member_seed(5, 2, 1), rpe.member_seed(5, 3),
+            rpe.member_seed(5, 4), rpe.member_seed(5, 5, 2)]
+    stack = model.members
+    arrays = (stack.means, stack.lower, stack.log_det, rpe.rpe_scores_rows(model, z_rows))
+    assert _sha([np.ascontiguousarray(a).tobytes() for a in arrays]) == REDRAWN_SHA256[name]
+
+
 def test_sample_fit_matches_member_oracle():
     # at p = 6 sparse matrices often have an all-zero or repeated row;
     # master seed 5 redraws members 3, 6, 7, 10, 11 once and member 12 twice

@@ -220,10 +220,10 @@ class TestGenerateMany:
         errors = {seed: InvalidDimensions(f"seed {seed}") for seed in bad}
         original = randproj.generate
 
-        def flaky(family, d, p, seed):
+        def flaky(family, d, p, seed, **kwargs):
             if seed in errors:
                 raise errors[seed]
-            return original(family, d, p, seed)
+            return original(family, d, p, seed, **kwargs)
 
         monkeypatch.setattr(randproj, "generate", flaky)
         with pytest.raises(InvalidDimensions) as err:
@@ -244,6 +244,41 @@ class TestGenerateMany:
         assert child.exitcode == 0
 
 
+class TestStoredOperator:
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_dense_entries_are_rows_of_one_block(self, count):
+        seeds = [mix(41, b) for b in range(count)]
+        got = randproj.generate_many(SN, 3, 40, seeds)
+        block = got[0].entries.base
+        assert block.shape == (count, 3, 40) and block.flags.c_contiguous
+        for b, (m, seed) in enumerate(zip(got, seeds)):
+            assert m.entries.base is block and np.shares_memory(m.entries, block[b])
+            assert matrix_bytes(m) == matrix_bytes(generate(SN, 3, 40, seed))
+        # the stacked operator is that block, not a copy of it
+        stacked = randproj._stacked(got)
+        assert stacked.shape == (3 * count, 40) and stacked.flags.c_contiguous
+        assert np.shares_memory(stacked, block)
+
+    def test_other_lists_are_stacked_by_copying(self):
+        got = randproj.generate_many(SN, 3, 40, range(5))
+        for matrices in (got[1:], got[:4], got[::-1], got[:2] + [generate(SN, 3, 40, 9)],
+                         randproj.generate_many(SN, 3, 40, range(2)) + got[2:]):
+            stacked = randproj._stacked(matrices)
+            assert not np.shares_memory(stacked, got[0].entries.base)
+            np.testing.assert_array_equal(
+                stacked, np.concatenate([m.entries for m in matrices]))
+
+    @pytest.mark.parametrize("family", [SN, STP])
+    def test_projections_are_views_of_one_product(self, family):
+        # (B, n, d) read from the (B * d, n) product without a copy
+        mats = randproj.generate_many(family, 4, 30, range(3))
+        x = np.random.default_rng(7).standard_normal((9, 30))
+        got = project_many(mats, x)
+        assert got.shape == (3, 9, 4) and got.transpose(0, 2, 1).flags.c_contiguous
+        product = got.transpose(0, 2, 1).reshape(12, 9)
+        assert np.shares_memory(product, got)
+
+
 class TestDrawThreads:
     @pytest.mark.parametrize("family, split", [(SN, True), (STP, False)])
     def test_only_dense_draws_leave_the_calling_thread(self, monkeypatch, family, split):
@@ -251,9 +286,9 @@ class TestDrawThreads:
         names = []
         original = randproj.generate
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             names.append(threading.current_thread().name)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(randproj, "generate", spy)
         randproj.generate_many(family, 3, 40, range(8))

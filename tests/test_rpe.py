@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from rpeqda import linalg, qda, rpe, schemes
+from rpeqda import linalg, qda, randproj, rpe, schemes
 from rpeqda.dataset import Dataset
 from rpeqda.errors import (
     DimensionMismatch,
@@ -311,6 +311,54 @@ class TestScores:
             tracemalloc.stop()
         assert peak <= 4 << 20
 
+    @pytest.mark.parametrize("family", [SN, STP])
+    def test_scores_independent_of_tile_size(self, monkeypatch, family):
+        # one projection block of 57 rows, scored in tiles of one member's
+        # 1, 7, n - 1 or n rows, or of 5, B - 1 or all B members' rows: the
+        # kernel is elementwise, so every tiling gives the same bytes
+        rng = np.random.default_rng(18)
+        model = rpe.rpe_fit(two_class_data(rng, p=40),
+                            rpe.RpeConfig(B=12, d=4, family=family, master_seed=31))
+        z_rows = rng.standard_normal((57, 40)) * 2.0
+        unit = 16 * 2 * 4
+        monkeypatch.setattr(rpe, "POPULATION_CHUNK_BYTES", 12 * 57 * unit)
+        whole = rpe.rpe_scores_rows(model, z_rows)
+        for members, rows in [(1, 1), (1, 7), (1, 56), (1, 57), (5, 57), (11, 57)]:
+            monkeypatch.setattr(rpe, "POPULATION_CHUNK_BYTES", members * rows * unit)
+            assert rpe._tiles(12, 57, unit)[0] == (slice(0, members), slice(0, rows))
+            np.testing.assert_array_equal(rpe.rpe_scores_rows(model, z_rows), whole)
+
+    def test_population_chunk_is_one_tile(self):
+        # the population workload's chunks: 7 members, 100 rows, two classes
+        config = rpe.RpeConfig(B=500, d=8)
+        chunk = rpe._population_chunks(2000, config, 2, 100)[0]
+        assert len(chunk) == 7
+        assert rpe._tiles(7, 100, 16 * 2 * 8) == [(slice(0, 7), slice(0, 100))]
+
+    def test_kernel_memory_is_bounded_by_the_tile_budget(self, monkeypatch):
+        # 2000 rows in one projection block: the (B·d, n) product and the
+        # (B, n, J) scores take 2.2 MiB, and the kernel's arrays take 8 MiB
+        # more as one tile (10.2 MiB traced peak) but 0.3 MiB in 256 KiB
+        # tiles (2.5 MiB peak)
+        rng = np.random.default_rng(19)
+        model = rpe.rpe_fit(two_class_data(rng, p=20),
+                            rpe.RpeConfig(B=20, d=5, master_seed=37))
+        z_rows = rng.standard_normal((2000, 20))
+        monkeypatch.setattr(rpe, "POPULATION_CHUNK_BYTES", 1 << 18)
+        tracemalloc.start()
+        try:
+            rpe.rpe_scores_rows(model, z_rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20
+
+    def test_fitted_dense_stack_holds_its_matrices_once(self):
+        model = rpe.rpe_fit(two_class_data(np.random.default_rng(20)),
+                            rpe.RpeConfig(B=6, d=3))
+        stacked = randproj._stacked(model.members.matrices)
+        assert all(np.shares_memory(stacked, m.entries) for m in model.members.matrices)
+
     def test_single_member_reduces_to_member_qda(self):
         data = two_class_data(np.random.default_rng(14))
         model = rpe.rpe_fit(data, rpe.RpeConfig(B=1, d=3, master_seed=21))
@@ -392,6 +440,13 @@ class TestPopulationMode:
         z_rows = rng.standard_normal((10, 6))
         scores = rpe.population_rpe_scores(pops, 6, config, z_rows)
         np.testing.assert_allclose(scores[:, 0], scores[:, 1], atol=1e-12)
+
+    def test_no_rows_give_no_scores(self):
+        spec = schemes.build_example2(40, c=2.0, r=0, seed=1)
+        pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+        scores = rpe.population_rpe_scores(pops, 40, rpe.RpeConfig(B=5, d=3),
+                                           np.zeros((0, 40)))
+        assert scores.shape == (0, 2)
 
     def test_scale_pair_member_log_det_gap(self):
         # members of a (Sigma, c Sigma) pair carry log-det difference

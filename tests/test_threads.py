@@ -61,6 +61,9 @@ CALLS = {
     "population_rpe_scores": population_call,
     "run_scheme_experiment": lambda: evaluate.run_scheme_experiment(
         "s2", 32, 10, 5, 1, rpe.RpeConfig(B=4, d=3), data_seed=3),
+    # two sn replicates at once, one on the worker
+    "run_scheme_experiment_pair": lambda: evaluate.run_scheme_experiment(
+        "s2", 32, 10, 5, 2, rpe.RpeConfig(B=4, d=3), data_seed=3),
 }
 MODEL = rpe.rpe_fit(toy_data(), rpe.RpeConfig(B=6, d=3))
 
