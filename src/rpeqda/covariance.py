@@ -33,12 +33,17 @@ because ``standard_normal(out=)`` needs contiguous memory.  Handles that
 transform with a BLAS product (rotated spike, spiked identity) draw
 all rows into one temporary and copy it out, because a product over fewer
 rows can round differently.
+
+The AR recursions run through ``scipy.signal.lfilter``, imported inside the
+two functions that call it: ``scipy.signal`` takes over a second to
+import, and runs that never build an AR handle never pay for it.  A first
+call on two threads at once is safe, since the import lock makes the
+second thread wait for the first.
 """
 
 import math
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DimensionMismatch, InvalidCovariance, InvalidParameter
 
@@ -137,6 +142,8 @@ def _ar_matvec(rho, cols):
     """T @ cols for the AR(1) correlation T = ((rho^|i-j|))."""
     if len(cols) == 1:
         return cols.copy()
+    # scipy.signal takes 1.2-1.3 s to import (2 cores); only AR handles need it
+    from scipy.signal import lfilter
     forward = lfilter([0.0, rho], [1.0, -rho], cols, axis=0)
     backward = lfilter([0.0, rho], [1.0, -rho], cols[::-1], axis=0)[::-1]
     return cols + forward + backward
@@ -179,6 +186,8 @@ class ArProcessCovariance:
         return (self.p - 1) * math.log(1.0 - self.rho * self.rho)
 
     def fill(self, rng, outs):
+        # scipy.signal takes 1.2-1.3 s to import (2 cores); only AR handles need it
+        from scipy.signal import lfilter
         for x in _normal_blocks(rng, outs):
             if self.p > 1:
                 x[:, 1:] *= math.sqrt(1.0 - self.rho * self.rho)

@@ -21,6 +21,7 @@ several errors the first offending line wins; within a line the width is
 checked first, then the label, then the cells from left to right.
 """
 
+import io
 import math
 
 import numpy as np
@@ -45,6 +46,43 @@ def _read(path, label_col, has_header):
     """Return the (n, p) features and the n labels (empty when
     ``label_col`` is None) of a CSV file.
 
+    A file that is not UTF-8 raises the ``ParseError`` of its first
+    undecodable byte, unless a line before that byte holds an error.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return _parse(handle, label_col, has_header, path)
+    except UnicodeDecodeError:
+        pass
+    error, lines_before = _decode_error(path)
+    try:
+        _parse(lines_before, label_col, has_header, path)
+    except EmptyInput:
+        pass
+    raise error
+
+
+def _decode_error(path):
+    """The ``ParseError`` of the first byte of ``path`` that is not UTF-8,
+    at its physical line and column, and the whole lines before it.  A
+    text-mode read decodes in chunks, so its error's offset is not the
+    file's; one strict decode of the file's bytes gives that offset."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = list(io.StringIO(data[:exc.start].decode("utf-8"), newline=""))
+        partial = lines.pop() if lines and not lines[-1].endswith(("\n", "\r")) else ""
+        line_no, col_no = len(lines) + 1, partial.count(",") + 1
+        return ParseError(line_no, col_no, f"line {line_no}, column {col_no}: byte "
+                                           f"0x{data[exc.start]:02x} is not UTF-8"), lines
+    return ParseError(None, None, f"{path} changed while it was read"), []
+
+
+def _parse(lines_in, label_col, has_header, path):
+    """``_read`` of the text lines ``lines_in``.
+
     One pass over the lines skips comments, blank lines and the header,
     checks widths and takes the labels; it stops at the first width or
     label error.  The feature cells of the lines before it are converted
@@ -54,32 +92,31 @@ def _read(path, label_col, has_header):
     width = None
     stop = None
     header_pending = has_header
-    with open(path, encoding="utf-8", newline="") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            if raw.startswith("#") or raw.isspace():
-                continue
-            if header_pending:
-                header_pending = False
-                continue
-            fields = raw.count(",") + 1
-            if width is None:
-                width = fields
-            elif fields != width:
-                stop = InconsistentWidth(line_no)
+    for line_no, raw in enumerate(lines_in, start=1):
+        if raw.startswith("#") or raw.isspace():
+            continue
+        if header_pending:
+            header_pending = False
+            continue
+        fields = raw.count(",") + 1
+        if width is None:
+            width = fields
+        elif fields != width:
+            stop = InconsistentWidth(line_no)
+            break
+        if label_col is not None:
+            if not 0 <= label_col < width:
+                stop = ParseError(line_no, label_col + 1,
+                                  f"line {line_no}: no label column {label_col + 1}")
                 break
-            if label_col is not None:
-                if not 0 <= label_col < width:
-                    stop = ParseError(line_no, label_col + 1,
-                                      f"line {line_no}: no label column {label_col + 1}")
-                    break
-                label = raw.split(",", label_col + 1)[label_col].strip()
-                if label == "":
-                    stop = MissingValue(line_no, label_col + 1,
-                                        f"blank label at line {line_no}")
-                    break
-                labels.append(label)
-            line_nos.append(line_no)
-            lines.append(raw)
+            label = raw.split(",", label_col + 1)[label_col].strip()
+            if label == "":
+                stop = MissingValue(line_no, label_col + 1,
+                                    f"blank label at line {line_no}")
+                break
+            labels.append(label)
+        line_nos.append(line_no)
+        lines.append(raw)
     if lines:
         usecols = [j for j in range(width) if j != label_col]
         try:

@@ -12,6 +12,7 @@ regenerates the matrices, which the seeded generation contract guarantees
 to be bit-exact.
 """
 
+import dataclasses
 import json
 import math
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import ModelFormatError
 from .linalg import factor_log_det
-from .randproj import ProjectionFamily, ProjectionMatrix, generate
+from .randproj import ProjectionFamily, ProjectionMatrix, generate, generate_many
 from .rpe import MemberStack, RpeConfig, RpeModel
 
 MODEL_SCHEMA = "rpeqda-model/1"
@@ -111,6 +112,31 @@ def _matrix_from_dict(payload: dict) -> ProjectionMatrix:
     return generate(family, payload["d"], payload["p"], payload["seed"])
 
 
+def _matrices_from_dicts(payloads, config: RpeConfig, p: int) -> tuple:
+    """The members' matrices.  Those of an ``sn`` model are the rows of one
+    C-ordered (B, d, p) block, so that ``randproj._stacked`` of the loaded
+    model is that block, not a copy: compact members regenerate into it
+    through ``generate_many``, and stored entries are copied into it one
+    member at a time.  A matrix that is not d x p keeps its own array, for
+    ``_check_model`` to refuse."""
+    family, d = config.family, config.d
+    if family is not ProjectionFamily.STANDARD_NORMAL:
+        return tuple(_matrix_from_dict(m) for m in payloads)
+    if all((m["family"], m["d"], m["p"]) == (family.value, d, p)
+           and "entries" not in m and "rows" not in m for m in payloads):
+        return tuple(generate_many(family, d, p, [m["seed"] for m in payloads]))
+    block, matrices = None, []
+    for b, payload in enumerate(payloads):
+        matrix = _matrix_from_dict(payload)
+        if matrix.entries is not None and matrix.entries.shape == (d, p):
+            if block is None:
+                block = np.empty((len(payloads), d, p))
+            block[b] = matrix.entries
+            matrix = dataclasses.replace(matrix, entries=block[b])
+        matrices.append(matrix)
+    return tuple(matrices)
+
+
 def model_to_dict(model: RpeModel, compact: bool = False,
                   run_config: dict | None = None) -> dict:
     cfg = model.config
@@ -157,7 +183,8 @@ def model_from_dict(payload: dict) -> RpeModel:
                 f"model file has {len(members)} members, config B = {config.B}")
         if len(labels) < 2:
             raise ModelFormatError(f"model file has classes {labels}, need 2 or more")
-        matrices = tuple(_matrix_from_dict(m["matrix"]) for m in members)
+        matrices = _matrices_from_dicts([m["matrix"] for m in members], config,
+                                        payload["p"])
         priors, means, lower, log_det = _class_arrays(
             [m["model"]["classes"] for m in members], labels, config.d)
         model = RpeModel(config=config, p=payload["p"], class_labels=labels, priors=priors,
@@ -219,7 +246,7 @@ def _check_model(model: RpeModel) -> None:
         shape = matrix.entries.shape if dense else (matrix.d, matrix.p)
         if (matrix.d, matrix.p) != (d, p) or shape != (d, p):
             raise ModelFormatError(
-                f"member {b}: matrix is {shape[0]} x {shape[1]}, model is {d} x {p}")
+                f"member {b}: matrix is {' x '.join(map(str, shape))}, model is {d} x {p}")
         if dense and not np.isfinite(matrix.entries).all():
             raise ModelFormatError(f"member {b}: matrix entries are not all finite")
         if not dense and not _triplets_fit(matrix):

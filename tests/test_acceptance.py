@@ -167,6 +167,9 @@ def theta_payload(fresh=False):
     return _cache[key]
 
 
+# numpy's BLAS on one thread, as in the library, so max_rel_gap (and the
+# criterion-12 payload) does not depend on OPENBLAS_NUM_THREADS
+@linalg._one_blas_thread()
 def _theta_dense_oracle(data):
     labels = data.class_labels
     out = np.zeros((len(labels), len(labels)))

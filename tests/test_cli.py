@@ -166,6 +166,28 @@ class TestIngest:
             csvio.ingest_csv(path)
         assert (err.value.line, err.value.column) == (3, 2)
 
+    @pytest.mark.parametrize("before, line", [
+        (b"", 3), (b"a,1,2\r\n" * 3000, 3003), (b"# note\ra,1,2\r", 5)])
+    def test_bytes_outside_utf8_are_parse_errors(self, tmp_path, before, line):
+        # text reads decode in chunks; a byte far past the first chunk, or
+        # after CR line ends, is still placed on its own line and field
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"label,f1,f2\n" + before + b"a,1.0,2.0\nb,3.0,\xff\xfe\n")
+        with pytest.raises(ParseError) as err:
+            csvio.ingest_csv(path)
+        assert (err.value.line, err.value.column) == (line, 3)
+        assert "not UTF-8" in str(err.value)
+
+    @pytest.mark.parametrize("lines, expected", [
+        ("a,x,2", (ParseError, 2, 2)), ("a,1,2\na,1", (InconsistentWidth, 3, None))])
+    def test_error_before_a_byte_outside_utf8_wins(self, tmp_path, lines, expected):
+        path = tmp_path / "d.csv"
+        path.write_bytes(f"label,f1,f2\n{lines}\n".encode() + b"b,\xff,3\n")
+        kind, line, column = expected
+        with pytest.raises(kind) as err:
+            csvio.ingest_csv(path)
+        assert (err.value.line, getattr(err.value, "column", None)) == (line, column)
+
     def test_quoted_label_keeps_quotes(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text('label,f1\n"a",1.0\n b ,\t2.5 \n')
@@ -377,6 +399,14 @@ class TestCommands:
         assert payload["run_config"]["command"] == "train"
         assert payload["tool"].startswith("rpeqda ")
 
+    def test_csv_outside_utf8_exits_nonzero_with_error_line(self, tmp_path, capsys):
+        train_csv = tmp_path / "bad.csv"
+        train_csv.write_bytes(b"label,f1\na,1.0\nb,\xff\xfe\n")
+        code = main(["train", "--data", str(train_csv), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3, column 2") and "Traceback" not in err
+
     def test_missing_file_exits_nonzero(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "m.json")])
@@ -388,6 +418,7 @@ class TestCommands:
         "no_members", "one_class", "sparse_triplet", "prior_member", "prior_log",
         "config_d", "config_retries", "member_family", "member_kind", "mean_nan",
         "log_det_inf", "log_det_shift", "prior_inf", "factor_nan", "entries_nan",
+        "entries_1d",
     ])
     def test_bad_model_file_exits_nonzero_with_error_line(self, tmp_path, capsys, corrupt):
         train_csv = tmp_path / "train.csv"
@@ -458,6 +489,8 @@ class TestCommands:
             factor[1][0] = float("nan")
         elif corrupt == "entries_nan":
             member["matrix"]["entries"][1][2] = float("nan")
+        elif corrupt == "entries_1d":
+            member["matrix"]["entries"] = member["matrix"]["entries"][0]
         elif corrupt == "one_class":
             payload["class_labels"] = payload["class_labels"][:1]
             for m in payload["members"]:
