@@ -5,7 +5,8 @@ designated column (first by default), all remaining columns decimal
 floats.  Lines starting with ``#`` are provenance comments and are skipped
 on ingestion (exports use one to embed the tool version and run
 configuration), as are blank lines.  Every data line must have the same
-number of fields as the first.
+number of fields as the first, and a labeled file needs at least one
+feature column.
 
 Quotes are not special: a field ends at the next comma, so a quoted
 numeric cell is a parse error and a quoted label keeps its quotes.  A
@@ -19,15 +20,27 @@ Errors carry 1-based physical line and column numbers (comments, blank
 lines and the header count toward line numbers).  When a file holds
 several errors the first offending line wins; within a line the width is
 checked first, then the label, then the cells from left to right.
+
+Memory: ingest reads the file once and holds one block of text
+(``_BLOCK_CHARS``, 2 MiB) and its converted rows, plus the (n, p) feature
+array, into whose rows each block is written.  The array is allocated
+once, for the file's size in bytes at the first block's characters per
+line; a file whose later lines are shorter grows it in place.
 """
 
-import io
+import codecs
 import math
+import os
+from itertools import islice
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import EmptyInput, InconsistentWidth, MissingValue, ParseError
+
+# Characters of data lines per np.loadtxt call, and bytes per binary read
+# when a byte that is not UTF-8 is placed.
+_BLOCK_CHARS = 1 << 21
 
 
 def ingest_csv(path, label_col: int = 0, has_header: bool = True) -> Dataset:
@@ -44,53 +57,79 @@ def ingest_features_csv(path, has_header: bool = True) -> np.ndarray:
 
 def _read(path, label_col, has_header):
     """Return the (n, p) features and the n labels (empty when
-    ``label_col`` is None) of a CSV file.
+    ``label_col`` is None) of a CSV file, read in one pass.
 
     A file that is not UTF-8 raises the ``ParseError`` of its first
     undecodable byte, unless a line before that byte holds an error.
     """
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            return _parse(handle, label_col, has_header, path)
+            return _parse(handle, os.fstat(handle.fileno()).st_size, label_col,
+                          has_header, path)
     except UnicodeDecodeError:
         pass
-    error, lines_before = _decode_error(path)
-    try:
-        _parse(lines_before, label_col, has_header, path)
-    except EmptyInput:
-        pass
+    line_count, error = _decode_error(path)
+    # The whole lines before the bad byte decode cleanly; its own line,
+    # which the decoder replaces, is never read.
+    with open(path, encoding="utf-8", errors="replace", newline="") as handle:
+        try:
+            _parse(islice(handle, line_count), os.fstat(handle.fileno()).st_size,
+                   label_col, has_header, path)
+        except EmptyInput:
+            pass
     raise error
 
 
 def _decode_error(path):
-    """The ``ParseError`` of the first byte of ``path`` that is not UTF-8,
-    at its physical line and column, and the whole lines before it.  A
-    text-mode read decodes in chunks, so its error's offset is not the
-    file's; one strict decode of the file's bytes gives that offset."""
+    """The number of whole lines before the first byte of ``path`` that is
+    not UTF-8, and that byte's ``ParseError`` at its physical line and
+    column.  A text-mode read decodes in chunks, so its error's offset is
+    not the file's; this reads the bytes ``_BLOCK_CHARS`` at a time.
+
+    Lines end at LF, CR or CRLF, as in a text read with ``newline=""``.
+    The bytes of a multi-byte character are never line ends or commas, so
+    counting raw bytes places the bad byte on its line and field.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    ends = commas = 0
+    last = b""
     with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lines = list(io.StringIO(data[:exc.start].decode("utf-8"), newline=""))
-        partial = lines.pop() if lines and not lines[-1].endswith(("\n", "\r")) else ""
-        line_no, col_no = len(lines) + 1, partial.count(",") + 1
-        return ParseError(line_no, col_no, f"line {line_no}, column {col_no}: byte "
-                                           f"0x{data[exc.start]:02x} is not UTF-8"), lines
-    return ParseError(None, None, f"{path} changed while it was read"), []
+        while True:
+            block = handle.read(_BLOCK_CHARS)
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                bad, block = exc.object[exc.start], exc.object[:exc.start]
+            else:
+                if not block:
+                    return 0, ParseError(None, None, f"{path} changed while it was read")
+                bad = None
+            ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            if last == b"\r" and block.startswith(b"\n"):
+                ends -= 1  # a CRLF split between two reads
+            line_end = max(block.rfind(b"\n"), block.rfind(b"\r"))
+            commas = (commas if line_end < 0 else 0) + block.count(b",", line_end + 1)
+            if bad is not None:
+                line_no, col_no = ends + 1, commas + 1
+                return ends, ParseError(line_no, col_no, f"line {line_no}, column {col_no}: "
+                                                         f"byte 0x{bad:02x} is not UTF-8")
+            last = block[-1:]
 
 
-def _parse(lines_in, label_col, has_header, path):
-    """``_read`` of the text lines ``lines_in``.
+def _parse(lines_in, size, label_col, has_header, path):
+    """``_read`` of the text lines ``lines_in``, a file of about ``size``
+    bytes.
 
     One pass over the lines skips comments, blank lines and the header,
     checks widths and takes the labels; it stops at the first width or
-    label error.  The feature cells of the lines before it are converted
-    by one ``np.loadtxt`` call, which rounds exactly like ``float``.
+    label error.  Whenever the data lines held back reach ``_BLOCK_CHARS``
+    characters, and once more for the rest, their feature cells are
+    converted by one ``np.loadtxt`` call, which rounds exactly like
+    ``float``, straight into their rows of one (rows, p) array.
     """
-    line_nos, lines, labels = [], [], []
-    width = None
-    stop = None
+    features = usecols = width = stop = None
+    line_nos, block, labels = [], [], []
+    chars = done = 0
     header_pending = has_header
     for line_no, raw in enumerate(lines_in, start=1):
         if raw.startswith("#") or raw.isspace():
@@ -101,14 +140,18 @@ def _parse(lines_in, label_col, has_header, path):
         fields = raw.count(",") + 1
         if width is None:
             width = fields
+            if label_col is not None and not 0 <= label_col < width:
+                stop = ParseError(line_no, label_col + 1,
+                                  f"line {line_no}: no label column {label_col + 1}")
+                break
+            if label_col is not None and width == 1:
+                stop = ParseError(line_no, None, f"line {line_no}: no feature columns")
+                break
+            usecols = [j for j in range(width) if j != label_col]
         elif fields != width:
             stop = InconsistentWidth(line_no)
             break
         if label_col is not None:
-            if not 0 <= label_col < width:
-                stop = ParseError(line_no, label_col + 1,
-                                  f"line {line_no}: no label column {label_col + 1}")
-                break
             label = raw.split(",", label_col + 1)[label_col].strip()
             if label == "":
                 stop = MissingValue(line_no, label_col + 1,
@@ -116,27 +159,55 @@ def _parse(lines_in, label_col, has_header, path):
                 break
             labels.append(label)
         line_nos.append(line_no)
-        lines.append(raw)
-    if lines:
-        usecols = [j for j in range(width) if j != label_col]
-        try:
-            features = np.loadtxt(lines, dtype=np.float64, delimiter=",",
-                                  comments=None, quotechar=None,
-                                  usecols=usecols, ndmin=2)
-        except ValueError as exc:
-            # The cell scan accepts exactly the cells np.loadtxt accepts, so
-            # it finds the error; the fallback only keeps the error typed.
-            raise _first_cell_error(line_nos, lines, label_col) or ParseError(
-                None, None, f"unreadable data in {path}: {exc}") from None
-        finite = np.isfinite(features)
-        if not finite.all():
-            row, col = divmod(int(np.argmin(finite)), finite.shape[1])
-            raise _non_finite(line_nos[row], usecols[col] + 1)
+        block.append(raw)
+        chars += len(raw)
+        if chars >= _BLOCK_CHARS:
+            features, done = _fill(features, done, block, chars, size, line_nos,
+                                   usecols, label_col, path)
+            line_nos, block, chars = [], [], 0
+    if block:
+        features, done = _fill(features, done, block, chars, size, line_nos, usecols,
+                               label_col, path)
     if stop is not None:
         raise stop
-    if not lines:
+    if not done:
         raise EmptyInput(f"no data rows in {path}")
+    # gives back the rows estimated past the last; no view of the array exists
+    features.resize((done, len(usecols)), refcheck=False)
     return features, labels
+
+
+def _fill(features, done, block, chars, size, line_nos, usecols, label_col, path):
+    """Convert the feature cells of the text lines ``block`` (``chars``
+    characters) into the rows of ``features`` from ``done`` on; return the
+    array and the rows filled.
+
+    The first block allocates the array for the ``size`` bytes of the file
+    at its characters per line, plus one row in 64 and one more, because
+    later lines may be a little shorter; the end of ``_parse`` trims what
+    is left over.  When a later block does not fit, the array grows in
+    place by a quarter.
+    """
+    end = done + len(block)
+    if features is None:
+        rows = size * len(block) // chars
+        features = np.empty((max(end, rows + rows // 64 + 1), len(usecols)))
+    elif end > len(features):
+        features.resize((max(end, len(features) * 5 // 4), len(usecols)), refcheck=False)
+    try:
+        features[done:end] = np.loadtxt(block, dtype=np.float64, delimiter=",",
+                                        comments=None, quotechar=None,
+                                        usecols=usecols, ndmin=2)
+    except ValueError as exc:
+        # The cell scan accepts exactly the cells np.loadtxt accepts, so
+        # it finds the error; the fallback only keeps the error typed.
+        raise _first_cell_error(line_nos, block, label_col) or ParseError(
+            None, None, f"unreadable data in {path}: {exc}") from None
+    finite = np.isfinite(features[done:end])
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), finite.shape[1])
+        raise _non_finite(line_nos[row], usecols[col] + 1)
+    return features, end
 
 
 def _first_cell_error(line_nos, lines, label_col):

@@ -63,6 +63,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (
     DimensionMismatch,
+    DimensionTooSmall,
     InvalidParameter,
     MemberDegenerate,
     NonFiniteInput,
@@ -165,7 +166,10 @@ class RpeModel:
 
 
 def default_reduced_dim(p: int, n_min: int | None = None) -> int:
-    """min(n_min - 1, ceil(log p), 10), dropping n_min when unknown."""
+    """min(n_min - 1, ceil(log p), 10), dropping n_min when unknown; p < 1
+    raises ``DimensionTooSmall``."""
+    if p < 1:
+        raise DimensionTooSmall(f"need p >= 1 features, got p={p}")
     candidates = [math.ceil(math.log(p)), DEFAULT_DIM_CAP]
     if n_min is not None:
         candidates.append(n_min - 1)

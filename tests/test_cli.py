@@ -1,6 +1,9 @@
+import io
 import json
 import os
 import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +122,13 @@ class TestIngest:
             with pytest.raises(ParseError) as err:
                 csvio.ingest_csv(path, label_col=label_col, has_header=False)
             assert err.value.line == 1
+
+    def test_label_column_only_is_refused(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# meta\nlabel\na\nb\n")
+        with pytest.raises(ParseError) as err:
+            csvio.ingest_csv(path)
+        assert err.value.line == 3 and "no feature columns" in str(err.value)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
     def test_non_finite_cell_is_missing(self, tmp_path, cell):
@@ -247,6 +257,152 @@ class TestIngest:
         for label, row in zip(data.labels, rows):
             expected.append(label + "," + ",".join(format(v, ".17g") for v in row))
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+class TestIngestBlocks:
+    """Ingest converts the data lines in blocks of ``csvio._BLOCK_CHARS``
+    characters; a small block puts one or two lines in each."""
+
+    @pytest.fixture(params=[1, 16], autouse=True)
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(csvio, "_BLOCK_CHARS", request.param)
+
+    @staticmethod
+    def ingest(tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        return csvio.ingest_csv(path)
+
+    def test_cell_error_in_first_block_beats_later_width_error(self, tmp_path):
+        text = "label,f1,f2\na,1,2\nb,oops,2\n" + "a,1,2\n" * 6 + "b,1\n"
+        with pytest.raises(ParseError) as err:
+            self.ingest(tmp_path, text)
+        assert (err.value.line, err.value.column) == (3, 2)
+
+    @pytest.mark.parametrize("last, expected", [
+        ("b,1", (InconsistentWidth, None)), (",1,2", (MissingValue, 1))])
+    def test_width_or_label_error_after_clean_blocks(self, tmp_path, last, expected):
+        text = "label,f1,f2\n" + "a,1.5,2.5\n" * 9 + last + "\n" + "a,1,oops\n"
+        kind, column = expected
+        with pytest.raises(kind) as err:
+            self.ingest(tmp_path, text)
+        assert (err.value.line, getattr(err.value, "column", None)) == (11, column)
+
+    def test_non_finite_cell_in_last_block_names_its_line(self, tmp_path):
+        text = "# meta\nlabel,f1,f2\n" + "a,1,2\n# note\n\n" * 4 + "b,3,inf\n"
+        with pytest.raises(MissingValue) as err:
+            self.ingest(tmp_path, text)
+        assert (err.value.line, err.value.column) == (15, 3)
+
+    def test_comments_and_blank_lines_between_blocks(self, tmp_path):
+        rows = [f"{'ab'[i % 2]},{i}.25,{-i}e-3\n" for i in range(9)]
+        data = self.ingest(tmp_path, "label,f1,f2\n" + "# c\n \n\n".join(rows))
+        np.testing.assert_array_equal(
+            data.features, [[i + 0.25, -i * 1e-3] for i in range(9)])
+        assert data.labels == tuple("ab"[i % 2] for i in range(9))
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"])
+    @pytest.mark.parametrize("final", [True, False])
+    def test_line_ends_and_missing_final_newline(self, tmp_path, end, final):
+        lines = ["label,f1,f2"] + [f"c{i % 3},{i},{i / 8}" for i in range(11)]
+        text = end.join(lines) + (end if final else "")
+        data = self.ingest(tmp_path, text)
+        assert data.features.shape == (11, 2) and data.features.flags.c_contiguous
+        np.testing.assert_array_equal(data.features, [[i, i / 8] for i in range(11)])
+        assert data.labels == tuple(f"c{i % 3}" for i in range(11))
+
+    @pytest.mark.parametrize("label_col", [0, 2, None])
+    def test_arrays_equal_one_whole_file_loadtxt(self, tmp_path, label_col):
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((23, 5)) * 10.0 ** rng.integers(-300, 300, (23, 5))
+        lines = ["# blocks", "header"]
+        for i, row in enumerate(values):
+            cells = [format(v, ".17g") for v in row]
+            if label_col is not None:
+                cells.insert(label_col, "xy"[i % 2])
+            lines.append(",".join(cells))
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        if label_col is None:
+            features = csvio.ingest_features_csv(path)
+        else:
+            features = csvio.ingest_csv(path, label_col=label_col).features
+        usecols = [j for j in range(len(cells)) if j != label_col]
+        whole = np.loadtxt(path, delimiter=",", skiprows=2, usecols=usecols, ndmin=2)
+        assert features.tobytes() == whole.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82z", b"\xe2\x82"])
+    def test_bad_byte_placed_across_reads(self, tmp_path, end, bad):
+        # reads of 1 or 16 bytes split CRLFs and multi-byte characters
+        path = tmp_path / "d.csv"
+        path.write_bytes(end.join([b"label,f1,f2", b"\xc3\xa9,1,2", b"", b"# \xe2\x82\xac",
+                                   b"a,1," + bad]))
+        lines, error = csvio._decode_error(path)
+        assert lines == 4 and (error.line, error.column) == (5, 3)
+        assert f"byte 0x{bad[0]:02x} is not UTF-8" in str(error)
+
+    def test_rows_past_the_first_estimate_grow_the_array(self, tmp_path):
+        # long first lines size the array for fewer rows than the file holds
+        text = "label,f1,f2\n" + "a,1.000000000000,2.000000000000\n" * 3 + "b,3,4\n" * 40
+        data = self.ingest(tmp_path, text)
+        np.testing.assert_array_equal(data.features, [[1.0, 2.0]] * 3 + [[3.0, 4.0]] * 40)
+        assert data.features.flags.owndata and data.features.flags.c_contiguous
+
+
+def test_ingest_holds_one_block_of_text(tmp_path):
+    # About 8 MB of text (about four blocks) and 3.2 MB of features: ingest
+    # must not hold the file's text, only one block of it at a time.
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((100, 4000))
+    path = tmp_path / "d.csv"
+    csvio.export_csv(Dataset(values, tuple("ab"[i % 2] for i in range(100))), path)
+    assert path.stat().st_size > 3 * csvio._BLOCK_CHARS
+    tracemalloc.start()
+    try:
+        data = csvio.ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.features.tobytes() == values.tobytes()
+    assert peak < values.nbytes + 2 * csvio._BLOCK_CHARS
+
+
+def test_blank_lines_do_not_size_the_feature_array(tmp_path):
+    # 10^5 blank lines and two rows of 2000 features: the array is sized by
+    # the bytes of the rows, not by the line count (1.6 GB)
+    path = tmp_path / "d.csv"
+    row = ",".join(["1"] * 2000)
+    path.write_text(f"label,features\na,{row}\n" + "\n" * 100_000 + f"b,{row}\n")
+    tracemalloc.start()
+    try:
+        data = csvio.ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.features.shape == (2, 2000) and data.labels == ("a", "b")
+    assert peak < csvio._BLOCK_CHARS + 1_000_000
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_ingest_reads_a_pipe(tmp_path):
+    # ingest reads the file once, so a pipe (``--data /dev/stdin``) works
+    text = b"label,f1,f2\n" + b"a,1.5,2\nb,3,-4e-3\n" * 20000
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with open(write_fd, "wb") as pipe:
+            pipe.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        data = csvio.ingest_csv(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    np.testing.assert_array_equal(data.features, [[1.5, 2.0], [3.0, -4e-3]] * 20000)
 
 
 class TestCommands:
@@ -557,6 +713,16 @@ class TestCommands:
         assert main([command, "--data", str(data), "--d", d, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_label_only_csv_exits_1_with_error_line(self, tmp_path, capsys, command):
+        data = tmp_path / "labels.csv"
+        data.write_text("label\n" + "a\nb\n" * 6)
+        out = tmp_path / "out"
+        assert main([command, "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2") and "Traceback" not in err
         assert not out.exists()
 
     def test_parse_error_exits_nonzero_with_line(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from rpeqda import linalg, qda, randproj, rpe, schemes
 from rpeqda.dataset import Dataset
 from rpeqda.errors import (
     DimensionMismatch,
+    DimensionTooSmall,
     InvalidParameter,
     MemberDegenerate,
     NonFiniteInput,
@@ -116,6 +117,9 @@ class TestFit:
         assert rpe.default_reduced_dim(10000, 100) == 10
         assert rpe.default_reduced_dim(2000, 100) == 8
         assert rpe.default_reduced_dim(512, 5) == 4
+        for p in (0, -1):
+            with pytest.raises(DimensionTooSmall):
+                rpe.default_reduced_dim(p, 100)
 
     def test_single_class_rejected(self):
         data = Dataset(np.random.default_rng(1).standard_normal((10, 4)), ("a",) * 10)
