@@ -18,28 +18,28 @@ values.
 
 Errors carry 1-based physical line and column numbers (comments, blank
 lines and the header count toward line numbers).  When a file holds
-several errors the first offending line wins; within a line the width is
-checked first, then the label, then the cells from left to right.
+several errors the first offending line wins; within a line a byte that
+is not UTF-8 is checked first, then the width, then the label, then the
+cells from left to right.
 
-Memory: ingest reads the file once and holds one block of text
+Ingest reads the file once, as text in which each byte that is not UTF-8
+becomes one lone surrogate, so a pipe works; only a line that is not
+ASCII is encoded again, to find such a byte.  It holds one block of text
 (``_BLOCK_CHARS``, 2 MiB) and its converted rows, plus the (n, p) feature
 array, into whose rows each block is written.  The array is allocated
 once, for the file's size in bytes at the first block's characters per
 line; a file whose later lines are shorter grows it in place.
 """
 
-import codecs
 import math
 import os
-from itertools import islice
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import EmptyInput, InconsistentWidth, MissingValue, ParseError
 
-# Characters of data lines per np.loadtxt call, and bytes per binary read
-# when a byte that is not UTF-8 is placed.
+# Characters of data lines per np.loadtxt call.
 _BLOCK_CHARS = 1 << 21
 
 
@@ -59,70 +59,22 @@ def _read(path, label_col, has_header):
     """Return the (n, p) features and the n labels (empty when
     ``label_col`` is None) of a CSV file, read in one pass.
 
-    A file that is not UTF-8 raises the ``ParseError`` of its first
-    undecodable byte, unless a line before that byte holds an error.
+    Each byte that is not UTF-8 decodes to one lone surrogate
+    (``surrogateescape``), which ``_parse`` raises as the ``ParseError`` of
+    its line and column, unless a line before it holds an error.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            return _parse(handle, os.fstat(handle.fileno()).st_size, label_col,
-                          has_header, path)
-    except UnicodeDecodeError:
-        pass
-    line_count, error = _decode_error(path)
-    # The whole lines before the bad byte decode cleanly; its own line,
-    # which the decoder replaces, is never read.
-    with open(path, encoding="utf-8", errors="replace", newline="") as handle:
-        try:
-            _parse(islice(handle, line_count), os.fstat(handle.fileno()).st_size,
-                   label_col, has_header, path)
-        except EmptyInput:
-            pass
-    raise error
-
-
-def _decode_error(path):
-    """The number of whole lines before the first byte of ``path`` that is
-    not UTF-8, and that byte's ``ParseError`` at its physical line and
-    column.  A text-mode read decodes in chunks, so its error's offset is
-    not the file's; this reads the bytes ``_BLOCK_CHARS`` at a time.
-
-    Lines end at LF, CR or CRLF, as in a text read with ``newline=""``.
-    The bytes of a multi-byte character are never line ends or commas, so
-    counting raw bytes places the bad byte on its line and field.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    ends = commas = 0
-    last = b""
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(_BLOCK_CHARS)
-            try:
-                decoder.decode(block, final=not block)
-            except UnicodeDecodeError as exc:
-                bad, block = exc.object[exc.start], exc.object[:exc.start]
-            else:
-                if not block:
-                    return 0, ParseError(None, None, f"{path} changed while it was read")
-                bad = None
-            ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
-            if last == b"\r" and block.startswith(b"\n"):
-                ends -= 1  # a CRLF split between two reads
-            line_end = max(block.rfind(b"\n"), block.rfind(b"\r"))
-            commas = (commas if line_end < 0 else 0) + block.count(b",", line_end + 1)
-            if bad is not None:
-                line_no, col_no = ends + 1, commas + 1
-                return ends, ParseError(line_no, col_no, f"line {line_no}, column {col_no}: "
-                                                         f"byte 0x{bad:02x} is not UTF-8")
-            last = block[-1:]
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        return _parse(handle, os.fstat(handle.fileno()).st_size, label_col,
+                      has_header, path)
 
 
 def _parse(lines_in, size, label_col, has_header, path):
     """``_read`` of the text lines ``lines_in``, a file of about ``size``
     bytes.
 
-    One pass over the lines skips comments, blank lines and the header,
-    checks widths and takes the labels; it stops at the first width or
-    label error.  Whenever the data lines held back reach ``_BLOCK_CHARS``
+    One pass over the lines places a byte that is not UTF-8, skips
+    comments, blank lines and the header, checks widths and takes the
+    labels; it stops at the first such byte, width or label error.  Whenever the data lines held back reach ``_BLOCK_CHARS``
     characters, and once more for the rest, their feature cells are
     converted by one ``np.loadtxt`` call, which rounds exactly like
     ``float``, straight into their rows of one (rows, p) array.
@@ -132,6 +84,15 @@ def _parse(lines_in, size, label_col, has_header, path):
     chars = done = 0
     header_pending = has_header
     for line_no, raw in enumerate(lines_in, start=1):
+        if not raw.isascii():
+            # only a byte that was not UTF-8, now a lone surrogate, fails
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                col_no = raw.count(",", 0, exc.start) + 1
+                stop = ParseError(line_no, col_no, f"line {line_no}, column {col_no}: byte "
+                                  f"0x{ord(raw[exc.start]) - 0xDC00:02x} is not UTF-8")
+                break
         if raw.startswith("#") or raw.isspace():
             continue
         if header_pending:
@@ -140,7 +101,11 @@ def _parse(lines_in, size, label_col, has_header, path):
         fields = raw.count(",") + 1
         if width is None:
             width = fields
-            if label_col is not None and not 0 <= label_col < width:
+            if label_col is not None and label_col < 0:
+                stop = ParseError(line_no, None,
+                                  f"line {line_no}: no label column {label_col} (0-based)")
+                break
+            if label_col is not None and label_col >= width:
                 stop = ParseError(line_no, label_col + 1,
                                   f"line {line_no}: no label column {label_col + 1}")
                 break

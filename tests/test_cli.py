@@ -118,10 +118,13 @@ class TestIngest:
     def test_label_column_out_of_range(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,1.0\nb,2.0\n")
-        for label_col in (2, -1):
+        # columns are 1-based, so a negative (0-based) label column has none
+        for label_col, column, message in ((2, 3, "no label column 3"),
+                                           (-1, None, "no label column -1 (0-based)")):
             with pytest.raises(ParseError) as err:
                 csvio.ingest_csv(path, label_col=label_col, has_header=False)
-            assert err.value.line == 1
+            assert (err.value.line, err.value.column) == (1, column)
+            assert str(err.value) == f"line 1: {message}"
 
     def test_label_column_only_is_refused(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -177,10 +180,12 @@ class TestIngest:
         assert (err.value.line, err.value.column) == (3, 2)
 
     @pytest.mark.parametrize("before, line", [
-        (b"", 3), (b"a,1,2\r\n" * 3000, 3003), (b"# note\ra,1,2\r", 5)])
+        (b"", 3), (b"a,1,2\r\n" * 3000, 3003), (b"# note\ra,1,2\r", 5),
+        (b"# a,b,\xfe\n", 2), (b"a,1,\xfe,4\n", 2)])
     def test_bytes_outside_utf8_are_parse_errors(self, tmp_path, before, line):
         # text reads decode in chunks; a byte far past the first chunk, or
-        # after CR line ends, is still placed on its own line and field
+        # after CR line ends, is still placed on its own line and field; the
+        # first such byte wins, in a comment or on a line of the wrong width
         path = tmp_path / "d.csv"
         path.write_bytes(b"label,f1,f2\n" + before + b"a,1.0,2.0\nb,3.0,\xff\xfe\n")
         with pytest.raises(ParseError) as err:
@@ -188,14 +193,25 @@ class TestIngest:
         assert (err.value.line, err.value.column) == (line, 3)
         assert "not UTF-8" in str(err.value)
 
-    @pytest.mark.parametrize("lines, expected", [
-        ("a,x,2", (ParseError, 2, 2)), ("a,1,2\na,1", (InconsistentWidth, 3, None))])
-    def test_error_before_a_byte_outside_utf8_wins(self, tmp_path, lines, expected):
+    @pytest.mark.parametrize("text, read, expected", [
+        pytest.param("label,f1,f2\na,x,2", csvio.ingest_csv, (ParseError, 2, 2),
+                     id="a,x,2-expected0"),
+        pytest.param("label,f1,f2\na,1,2\na,1", csvio.ingest_csv,
+                     (InconsistentWidth, 3, None), id="a,1,2\na,1-expected1"),
+        pytest.param("f1,f2\n1,x\n\udcfe,2", csvio.ingest_features_csv, (ParseError, 2, 2),
+                     id="features"),
+        # a byte (written here as its lone surrogate) is placed before its line
+        # is taken as the header or skipped as blank
+        pytest.param("label,f\udcfe,f2", csvio.ingest_csv, (ParseError, 1, 2), id="header"),
+        pytest.param("label,f1,f2\n \udcfe\t", csvio.ingest_csv, (ParseError, 2, 1),
+                     id="blank"),
+    ])
+    def test_error_before_a_byte_outside_utf8_wins(self, tmp_path, text, read, expected):
         path = tmp_path / "d.csv"
-        path.write_bytes(f"label,f1,f2\n{lines}\n".encode() + b"b,\xff,3\n")
+        path.write_bytes(f"{text}\n".encode("utf-8", "surrogateescape") + b"b,\xff,3\n")
         kind, line, column = expected
         with pytest.raises(kind) as err:
-            csvio.ingest_csv(path)
+            read(path)
         assert (err.value.line, getattr(err.value, "column", None)) == (line, column)
 
     def test_quoted_label_keeps_quotes(self, tmp_path):
@@ -334,13 +350,14 @@ class TestIngestBlocks:
     @pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"])
     @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82z", b"\xe2\x82"])
     def test_bad_byte_placed_across_reads(self, tmp_path, end, bad):
-        # reads of 1 or 16 bytes split CRLFs and multi-byte characters
+        # blocks of 1 or 16 characters flush the lines before the bad byte
         path = tmp_path / "d.csv"
         path.write_bytes(end.join([b"label,f1,f2", b"\xc3\xa9,1,2", b"", b"# \xe2\x82\xac",
                                    b"a,1," + bad]))
-        lines, error = csvio._decode_error(path)
-        assert lines == 4 and (error.line, error.column) == (5, 3)
-        assert f"byte 0x{bad[0]:02x} is not UTF-8" in str(error)
+        with pytest.raises(ParseError) as err:
+            csvio.ingest_csv(path)
+        assert (err.value.line, err.value.column) == (5, 3)
+        assert f"byte 0x{bad[0]:02x} is not UTF-8" in str(err.value)
 
     def test_rows_past_the_first_estimate_grow_the_array(self, tmp_path):
         # long first lines size the array for fewer rows than the file holds
@@ -385,24 +402,36 @@ def test_blank_lines_do_not_size_the_feature_array(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_ingest_reads_a_pipe(tmp_path):
-    # ingest reads the file once, so a pipe (``--data /dev/stdin``) works
+def test_ingest_reads_a_pipe(tmp_path, capsys):
+    # ingest reads the file once, so a pipe (``--data /dev/stdin``) works,
+    # and a byte that is not UTF-8 is placed in that one read
+
+    def through_pipe(payload, read):
+        read_fd, write_fd = os.pipe()
+
+        def write():
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            return read(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+
     text = b"label,f1,f2\n" + b"a,1.5,2\nb,3,-4e-3\n" * 20000
-    read_fd, write_fd = os.pipe()
-
-    def write():
-        with open(write_fd, "wb") as pipe:
-            pipe.write(text)
-
-    writer = threading.Thread(target=write)
-    writer.start()
-    try:
-        data = csvio.ingest_csv(f"/dev/fd/{read_fd}")
-    finally:
-        os.close(read_fd)
-        writer.join(timeout=60)
-    assert not writer.is_alive()
+    data = through_pipe(text, csvio.ingest_csv)
     np.testing.assert_array_equal(data.features, [[1.5, 2.0], [3.0, -4e-3]] * 20000)
+    bad = b"label,f1\na,1\nb,\xff\n"
+    with pytest.raises(ParseError) as err:
+        through_pipe(bad, csvio.ingest_csv)
+    assert (err.value.line, err.value.column) == (3, 2)
+    out = str(tmp_path / "m.json")
+    assert through_pipe(bad, lambda path: main(["train", "--data", path, "--out", out])) == 1
+    assert capsys.readouterr().err == "error: line 3, column 2: byte 0xff is not UTF-8\n"
 
 
 class TestCommands:
