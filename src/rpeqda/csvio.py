@@ -202,15 +202,14 @@ def _non_finite(line_no, col_no):
                         f"non-finite value at line {line_no}, column {col_no}")
 
 
-def export_csv(dataset: Dataset, path, header: bool = True, meta: str = "") -> None:
+def export_csv(dataset: Dataset, path, meta: str = "") -> None:
     """Write a Dataset in the ingestion grammar (label first, 17
     significant digits so a round trip reproduces the floats exactly)."""
     row_format = ",".join(["%.17g"] * dataset.p)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if meta:
             handle.write(f"# {meta}\n")
-        if header:
-            names = ",".join(f"f{j + 1}" for j in range(dataset.p))
-            handle.write(f"label,{names}\n")
+        names = ",".join(f"f{j + 1}" for j in range(dataset.p))
+        handle.write(f"label,{names}\n")
         for label, row in zip(dataset.labels, dataset.features):
             handle.write(f"{label},{row_format % tuple(row)}\n")

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import qda, rpe, schemes
 from .dataset import Dataset
-from .errors import EmptyInput, LengthMismatch, ReducedDimTooLarge, TooFewSamplesForClass
+from .errors import (DimensionMismatch, EmptyInput, LengthMismatch, ReducedDimTooLarge,
+                     TooFewSamplesForClass)
 from .linalg import _in_parallel, _one_blas_thread
 from .rng import DRAW_TAG, PROJECTION_TAG, STRUCTURE_TAG, mix
 
@@ -142,12 +143,15 @@ def run_scheme_experiment(scheme_id, p: int, n_train_per_class: int,
 
     ``scheme_id`` may also be a prebuilt :class:`schemes.SchemeSpec`
     (yields the same protocol with custom populations, e.g. the spiked
-    scale family).  Each replicate draws fresh data and a fresh projection
+    scale family), whose dimension must be ``p`` (``DimensionMismatch``
+    otherwise).  Each replicate draws fresh data and a fresh projection
     master seed, both derived from ``data_seed``; dense replicates run in
     pairs when :func:`_replicates_in_pairs` allows.
     """
     if isinstance(scheme_id, schemes.SchemeSpec):
         spec = scheme_id
+        if spec.p != p:
+            raise DimensionMismatch(f"prebuilt {spec.scheme_id} spec has p={spec.p}, not p={p}")
     else:
         if structure_seed is None:
             structure_seed = mix(data_seed, STRUCTURE_TAG)
@@ -312,11 +316,11 @@ class AlignmentCheck:
     kl_over_p: float
     mean_abs_deviation: float
     classical_seconds: float
-    ensemble_d: int | None = None
-    ensemble_B: int | None = None
-    positive_count: int | None = None
-    scaled_ensemble_mean: float | None = None
-    ensemble_seconds: float | None = None
+    ensemble_d: int
+    ensemble_B: int
+    positive_count: int
+    scaled_ensemble_mean: float
+    ensemble_seconds: float
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -334,15 +338,14 @@ class AlignmentCheck:
 
 @_one_blas_thread()
 def theorem_alignment_check(spec: schemes.SchemeSpec, draws: int, seed: int,
-                            d: int | None = None, B: int | None = None,
-                            family=None) -> AlignmentCheck:
+                            d: int, B: int, family=None) -> AlignmentCheck:
     """Check the two known-parameter alignment properties on one spec.
 
     Classical part: mean over draws Z ~ P_1 of |D(Z)/p - KL/p| where D is
     the first-vs-second discriminant and KL the divergence it estimates
     (the direction with the trace of Sigma_2^{-1} Sigma_1).  Ensemble
-    part (only when d and B are given): the count of draws with positive
-    ensemble discriminant, using B members at reduced dimension d.
+    part: the count of draws with positive ensemble discriminant, using B
+    members at reduced dimension d.
     """
     pops = spec.populations
     p = spec.p
@@ -355,11 +358,6 @@ def theorem_alignment_check(spec: schemes.SchemeSpec, draws: int, seed: int,
     disc = scores[:, 0] - scores[:, 1]
     mean_abs_dev = float(np.mean(np.abs(disc / p - kl_over_p)))
     classical_seconds = time.perf_counter() - start
-
-    if d is None or B is None:
-        return AlignmentCheck(p=p, draws=draws, kl_over_p=kl_over_p,
-                            mean_abs_deviation=mean_abs_dev,
-                            classical_seconds=classical_seconds)
 
     start = time.perf_counter()
     config = rpe.RpeConfig(

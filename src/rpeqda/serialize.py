@@ -6,13 +6,13 @@ round-trips) and preserves key insertion order, so identical in-memory
 values always produce byte-identical files.
 
 Model files carry an explicit schema version and come in two storage
-modes: ``full`` stores each member's matrix payload alongside its
-projected model; ``compact`` stores only the matrix seeds, and loading
-regenerates the matrices, which the seeded generation contract guarantees
-to be bit-exact.
+modes, named by their ``storage`` key: ``full`` stores each member's
+matrix payload alongside its projected model; ``compact`` stores only the
+matrix seeds, and loading regenerates the matrices, which the seeded
+generation contract guarantees to be bit-exact.  Loading refuses a member
+declared or stored unlike the model, naming it, before building a matrix.
 """
 
-import dataclasses
 import json
 import math
 
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import ModelFormatError
 from .linalg import factor_log_det
-from .randproj import ProjectionFamily, ProjectionMatrix, generate, generate_many
+from .randproj import ProjectionFamily, ProjectionMatrix, generate_many
 from .rpe import MemberStack, RpeConfig, RpeModel
 
 MODEL_SCHEMA = "rpeqda-model/1"
@@ -91,49 +91,48 @@ def _matrix_to_dict(matrix: ProjectionMatrix, compact: bool) -> dict:
     if matrix.entries is not None:
         payload["entries"] = matrix.entries
     else:
-        payload["rows"] = [int(v) for v in matrix.rows]
-        payload["cols"] = [int(v) for v in matrix.cols]
-        payload["signs"] = [int(v) for v in matrix.signs]
+        payload.update(rows=matrix.rows, cols=matrix.cols, signs=matrix.signs)
     return payload
 
 
-def _matrix_from_dict(payload: dict) -> ProjectionMatrix:
-    family = ProjectionFamily(payload["family"])
-    if "entries" in payload:
-        return ProjectionMatrix(
-            family=family, d=payload["d"], p=payload["p"], seed=payload["seed"],
-            entries=np.asarray(payload["entries"], dtype=np.float64))
-    if "rows" in payload:
-        return ProjectionMatrix(
-            family=family, d=payload["d"], p=payload["p"], seed=payload["seed"],
-            rows=np.asarray(payload["rows"], dtype=np.int64),
-            cols=np.asarray(payload["cols"], dtype=np.int64),
-            signs=np.asarray(payload["signs"], dtype=np.int8))
-    return generate(family, payload["d"], payload["p"], payload["seed"])
-
-
-def _matrices_from_dicts(payloads, config: RpeConfig, p: int) -> tuple:
-    """The members' matrices.  Those of an ``sn`` model are the rows of one
-    C-ordered (B, d, p) block, so that ``randproj._stacked`` of the loaded
-    model is that block, not a copy: compact members regenerate into it
-    through ``generate_many``, and stored entries are copied into it one
-    member at a time.  A matrix that is not d x p keeps its own array, for
-    ``_check_model`` to refuse."""
+def _matrices_from_dicts(payloads, config: RpeConfig, p: int, compact: bool) -> tuple:
+    """The members' matrices.  First every member must declare a d x p
+    matrix of the model's family, stored as its seed in a compact file, as
+    entries (sn) or triplets (stp) in a full one.  Compact members then
+    regenerate through one ``generate_many``; stored sn entries are copied
+    into one C-ordered (B, d, p) block, as ``generate_many`` draws them, so
+    ``randproj._stacked`` of a loaded sn model is that block, not a copy."""
     family, d = config.family, config.d
-    if family is not ProjectionFamily.STANDARD_NORMAL:
-        return tuple(_matrix_from_dict(m) for m in payloads)
-    if all((m["family"], m["d"], m["p"]) == (family.value, d, p)
-           and "entries" not in m and "rows" not in m for m in payloads):
+    dense = family is ProjectionFamily.STANDARD_NORMAL
+    expected = "seed" if compact else "entries" if dense else "triplets"
+    for b, m in enumerate(payloads, start=1):
+        stored = "entries" if "entries" in m else "triplets" if "rows" in m else "seed"
+        if (m["family"], m["d"], m["p"], stored) != (family.value, d, p, expected):
+            raise ModelFormatError(
+                f"member {b}: {m['family']!r} {m['d']} x {m['p']} matrix stored as {stored}, "
+                f"model needs {family.value!r} {d} x {p} stored as {expected}")
+    if compact:
         return tuple(generate_many(family, d, p, [m["seed"] for m in payloads]))
-    block, matrices = None, []
-    for b, payload in enumerate(payloads):
-        matrix = _matrix_from_dict(payload)
-        if matrix.entries is not None and matrix.entries.shape == (d, p):
-            if block is None:
-                block = np.empty((len(payloads), d, p))
-            block[b] = matrix.entries
-            matrix = dataclasses.replace(matrix, entries=block[b])
-        matrices.append(matrix)
+    matrices = []
+    if dense:
+        block = np.empty((len(payloads), d, p))
+        for b, m in enumerate(payloads):
+            entries = np.asarray(m["entries"], dtype=np.float64)
+            if entries.shape != (d, p) or not np.isfinite(entries).all():
+                raise ModelFormatError(f"member {b + 1}: entries of shape {entries.shape} "
+                                       f"are not {d} x {p} finite values")
+            block[b] = entries
+            matrices.append(ProjectionMatrix(family=family, d=d, p=p, seed=m["seed"],
+                                             entries=block[b]))
+        return tuple(matrices)
+    for b, m in enumerate(payloads, start=1):
+        matrices.append(ProjectionMatrix(
+            family=family, d=d, p=p, seed=m["seed"],
+            rows=np.asarray(m["rows"], dtype=np.int64),
+            cols=np.asarray(m["cols"], dtype=np.int64),
+            signs=np.asarray(m["signs"], dtype=np.int8)))
+        if not _triplets_fit(matrices[-1]):
+            raise ModelFormatError(f"member {b}: sparse triplets do not fit {d} x {p}")
     return tuple(matrices)
 
 
@@ -171,6 +170,10 @@ def model_from_dict(payload: dict) -> RpeModel:
     if schema != MODEL_SCHEMA:
         raise ModelFormatError(f"unsupported model schema {schema!r}")
     try:
+        storage = payload["storage"]
+        if storage not in ("compact", "full"):
+            raise ModelFormatError(
+                f"model file storage {storage!r} is neither 'compact' nor 'full'")
         cfg = payload["config"]
         config = RpeConfig(B=cfg["B"], d=cfg["d"],
                            family=ProjectionFamily(cfg["family"]),
@@ -184,13 +187,15 @@ def model_from_dict(payload: dict) -> RpeModel:
         if len(labels) < 2:
             raise ModelFormatError(f"model file has classes {labels}, need 2 or more")
         matrices = _matrices_from_dicts([m["matrix"] for m in members], config,
-                                        payload["p"])
+                                        payload["p"], storage == "compact")
         priors, means, lower, log_det = _class_arrays(
             [m["model"]["classes"] for m in members], labels, config.d)
         model = RpeModel(config=config, p=payload["p"], class_labels=labels, priors=priors,
                          members=MemberStack(matrices, means, lower, log_det))
     except KeyError as exc:
         raise ModelFormatError(f"model file lacks key {exc}") from exc
+    except ModelFormatError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file ({exc})") from exc
     _check_model(model)
@@ -230,27 +235,9 @@ def _class_arrays(classes, labels, d):
 
 
 def _check_model(model: RpeModel) -> None:
-    """Check that every member's matrix is a d x p matrix of the model's
-    family, stored as that family stores it (finite entries or triplets),
-    and that every class factor is lower triangular with a positive
+    """Check that every class factor is lower triangular with a positive
     diagonal and has the stored log-determinant (checked on the stacked
     (B, J, d, d) factors)."""
-    d, p, family = model.config.d, model.p, model.config.family
-    dense = family is ProjectionFamily.STANDARD_NORMAL
-    for b, matrix in enumerate(model.members.matrices, start=1):
-        if matrix.family is not family or (matrix.entries is not None) != dense:
-            raise ModelFormatError(
-                f"member {b}: {matrix.family.value!r} matrix stored as "
-                f"{'triplets' if matrix.entries is None else 'entries'}, model needs "
-                f"{family.value!r} stored as {'entries' if dense else 'triplets'}")
-        shape = matrix.entries.shape if dense else (matrix.d, matrix.p)
-        if (matrix.d, matrix.p) != (d, p) or shape != (d, p):
-            raise ModelFormatError(
-                f"member {b}: matrix is {' x '.join(map(str, shape))}, model is {d} x {p}")
-        if dense and not np.isfinite(matrix.entries).all():
-            raise ModelFormatError(f"member {b}: matrix entries are not all finite")
-        if not dense and not _triplets_fit(matrix):
-            raise ModelFormatError(f"member {b}: sparse triplets do not fit {d} x {p}")
     lower = model.members.lower
     valid = (~np.triu(lower, 1).any(axis=(2, 3))
              & (np.diagonal(lower, axis1=2, axis2=3) > 0).all(axis=2))

@@ -603,14 +603,16 @@ class TestCommands:
         "no_members", "one_class", "sparse_triplet", "prior_member", "prior_log",
         "config_d", "config_retries", "member_family", "member_kind", "mean_nan",
         "log_det_inf", "log_det_shift", "prior_inf", "factor_nan", "entries_nan",
-        "entries_1d",
+        "entries_1d", "compact_d_above_p", "compact_entries", "full_seed_only", "storage",
+        "prior_member_unwrapped",
     ])
     def test_bad_model_file_exits_nonzero_with_error_line(self, tmp_path, capsys, corrupt):
         train_csv = tmp_path / "train.csv"
         write_toy_csv(train_csv)
         model_path = tmp_path / "model.json"
         family = ["--family", "stp"] if corrupt == "sparse_triplet" else []
-        compact = ["--compact"] if corrupt == "member_family" else []
+        compact = ["--compact"] if corrupt in ("member_family", "compact_d_above_p",
+                                               "compact_entries") else []
         assert main(["train", "--data", str(train_csv), "--B", "4", "--d", "2",
                      "--seed", "3", "--out", str(model_path)] + family + compact) == 0
         payload = json.loads(model_path.read_text())
@@ -644,7 +646,7 @@ class TestCommands:
             payload["config"]["d"] = 0
         elif corrupt == "config_retries":
             payload["config"]["max_regen_retries"] = -1
-        elif corrupt == "prior_member":
+        elif corrupt in ("prior_member", "prior_member_unwrapped"):
             # members must share each class's prior
             member["model"]["classes"][0]["prior"] = 0.25
         elif corrupt == "prior_log":
@@ -676,6 +678,15 @@ class TestCommands:
             member["matrix"]["entries"][1][2] = float("nan")
         elif corrupt == "entries_1d":
             member["matrix"]["entries"] = member["matrix"]["entries"][0]
+        elif corrupt == "compact_d_above_p":
+            member["matrix"]["d"] = 9
+        elif corrupt == "compact_entries":
+            # a compact member that also stores entries
+            member["matrix"]["entries"] = [[0.0] * payload["p"]] * 2
+        elif corrupt == "full_seed_only":
+            del member["matrix"]["entries"]
+        elif corrupt == "storage":
+            payload["storage"] = "bogus"
         elif corrupt == "one_class":
             payload["class_labels"] = payload["class_labels"][:1]
             for m in payload["members"]:
@@ -693,8 +704,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         if corrupt.startswith(("matrix", "factor", "sparse", "member_family", "member_kind",
-                               "mean", "log_det", "entries")) or corrupt == "prior_member":
+                               "mean", "log_det", "entries", "compact", "full",
+                               "prior_member")):
             assert "member 2" in err
+        if corrupt == "matrix_d":
+            assert f"3 x {payload['p']} matrix" in err
+        elif corrupt == "storage":
+            assert "'bogus'" in err
+        elif corrupt == "prior_member_unwrapped":
+            assert not err.startswith("error: malformed model file")
 
     @pytest.mark.parametrize("command", [
         "viz2d --data {data} --grid -1 --out {out}",

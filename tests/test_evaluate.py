@@ -166,6 +166,8 @@ class TestRunSchemeExperiment:
                                                 data_seed=8)
         assert report.identifier == "example2"
         assert report.kl["kl_min_over_p"] > 0
+        with pytest.raises(DimensionMismatch):
+            evaluate.run_scheme_experiment(spec, 4096, 20, 10, 2, config, data_seed=8)
 
 
 class TestReplicatePairs:
@@ -378,9 +380,3 @@ class TestTheoremAlignment:
         assert check.positive_count is not None
         assert 0 <= check.positive_count <= 50
         assert check.mean_abs_deviation < 0.1
-
-    def test_classical_only(self):
-        spec = schemes.build_example2(100, c=2.0, r=0, seed=2)
-        check = evaluate.theorem_alignment_check(spec, draws=20, seed=10)
-        assert check.positive_count is None
-        assert check.ensemble_seconds is None

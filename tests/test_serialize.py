@@ -97,13 +97,21 @@ class TestModelPersistence:
         np.testing.assert_array_equal(full, rpe.rpe_scores_rows(model, z))
         np.testing.assert_array_equal(rpe.rpe_scores_rows(reloaded(True), z), full)
 
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_loaded_sn_matrices_are_one_block(self, tmp_path, compact):
+        path = tmp_path / "model.json"
+        serialize.save_model(fitted_model(), path, compact=compact)
+        matrices = serialize.load_model(path).members.matrices
+        stacked = randproj._stacked(matrices)
+        assert all(np.shares_memory(stacked, m.entries) for m in matrices)
+
     def test_resave_is_byte_identical(self, tmp_path):
-        model = fitted_model()
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        serialize.save_model(model, a)
-        serialize.save_model(serialize.load_model(a), b)
-        assert a.read_bytes() == b.read_bytes()
+        for family in ProjectionFamily:
+            serialize.save_model(fitted_model(family), a)
+            serialize.save_model(serialize.load_model(a), b)
+            assert a.read_bytes() == b.read_bytes()
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
