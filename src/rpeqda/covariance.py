@@ -17,6 +17,14 @@ A scalar multiple of a handle is always ``ScaledCovariance(base, c)``,
 never a parameter of the base, so the divergence oracle can recognise a
 scale pair by unwrapping one handle type.
 
+Other pairs get tr(Sigma_a^{-1} Sigma_b) from a sweep over identity
+columns, ``_TRACE_CHUNK`` at a time.  A step reads only the diagonal
+entries of its own rows, so it applies only the diagonal blocks those
+rows reach: the blocks of ``a`` that hold them and the blocks of ``b``
+that feed those.  Each block op gets the same C-ordered input rows as
+in a sweep of both whole handles over all p rows, and each step sums
+its diagonal entries in one call, so the trace keeps that sweep's bits.
+
 Sampling consumes the supplied Generator in a fixed documented order, so a
 seed fully determines the draw, and ``fill`` consumes it the same way
 however the rows are split into blocks: the bytes depend only on the
@@ -356,6 +364,19 @@ def _unwrap_scale(cov):
     return cov, 1.0
 
 
+def _spans(cov):
+    """(block, lo, hi) of every diagonal block of a handle; a handle that is
+    not a BlockDiagonal is one block over all its rows."""
+    if isinstance(cov, BlockDiagonal):
+        return list(zip(cov.blocks, cov.offsets[:-1].tolist(), cov.offsets[1:].tolist()))
+    return [(cov, 0, cov.p)]
+
+
+def _reached(spans, lo, hi):
+    """The spans whose rows meet rows [lo, hi)."""
+    return [span for span in spans if span[1] < hi and lo < span[2]]
+
+
 def trace_solve_product(a, b):
     """Exact trace of ``a^{-1} b`` for two structured covariances.
 
@@ -363,6 +384,22 @@ def trace_solve_product(a, b):
     closed form at any dimension.  Other pairs use an exact column sweep
     through the structured matvec and solve, which is limited to
     p <= DENSE_FALLBACK_LIMIT to bound its O(p^2) cost.
+
+    Each step covers ``_TRACE_CHUNK`` identity columns [lo, hi) and reads
+    only the diagonal entries in rows [lo, hi) of a^{-1} b applied to
+    them.  Those rows come from the blocks of ``a`` whose rows
+    meet [lo, hi), whose inputs come from the blocks of ``b`` whose rows
+    meet those blocks of ``a``; the step applies only these.  A handle
+    that is not a BlockDiagonal counts as one block over all p rows.
+
+    The bits equal those of a sweep that applies both whole handles over
+    all p rows at every step.  Each applied block op gets the same
+    C-ordered rows, values and shape as there: a block of ``b`` reads its
+    own rows of the identity columns, and a block of ``a`` reads rows that
+    only the applied blocks of ``b`` write.  The blocks left out write only
+    rows that nothing read depends on.  The step's diagonal entries are
+    the same values in the same order, summed by one ``sum``, so the chunk
+    width stays part of the result's bits.
     """
     if a.p != b.p:
         raise DimensionMismatch(f"dimension mismatch: {a.p} vs {b.p}")
@@ -374,11 +411,22 @@ def trace_solve_product(a, b):
     if p > DENSE_FALLBACK_LIMIT:
         raise InvalidParameter(
             f"generic trace product limited to p <= {DENSE_FALLBACK_LIMIT}, got {p}")
+    spans_a, spans_b = _spans(a), _spans(b)
     total = 0.0
     for lo in range(0, p, _TRACE_CHUNK):
         hi = min(lo + _TRACE_CHUNK, p)
-        eye_cols = np.zeros((p, hi - lo))
-        eye_cols[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        solved = a.solve(b.matvec(eye_cols))
-        total += float(solved[np.arange(lo, hi), np.arange(hi - lo)].sum())
+        reach_a = _reached(spans_a, lo, hi)
+        reach_b = _reached(spans_b, reach_a[0][1], reach_a[-1][2])
+        first = reach_b[0][1]
+        eye_cols = np.zeros((reach_b[-1][2] - first, hi - lo))
+        eye_cols[np.arange(lo - first, hi - first), np.arange(hi - lo)] = 1.0
+        mapped = np.empty_like(eye_cols)
+        for block, blo, bhi in reach_b:
+            mapped[blo - first:bhi - first] = block.matvec(eye_cols[blo - first:bhi - first])
+        diagonal = np.empty(hi - lo)
+        for block, alo, ahi in reach_a:
+            rows = np.arange(max(lo, alo), min(hi, ahi))
+            solved = block.solve(mapped[alo - first:ahi - first])
+            diagonal[rows - lo] = solved[rows - alo, rows - lo]
+        total += float(diagonal.sum())
     return total

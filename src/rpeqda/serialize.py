@@ -117,7 +117,11 @@ def _matrices_from_dicts(payloads, config: RpeConfig, p: int, compact: bool) -> 
     if dense:
         block = np.empty((len(payloads), d, p))
         for b, m in enumerate(payloads):
-            entries = np.asarray(m["entries"], dtype=np.float64)
+            try:
+                entries = np.asarray(m["entries"], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ModelFormatError(f"member {b + 1}: entries are not {d} x {p} "
+                                       f"finite values (ragged or not numbers)") from None
             if entries.shape != (d, p) or not np.isfinite(entries).all():
                 raise ModelFormatError(f"member {b + 1}: entries of shape {entries.shape} "
                                        f"are not {d} x {p} finite values")
@@ -126,14 +130,31 @@ def _matrices_from_dicts(payloads, config: RpeConfig, p: int, compact: bool) -> 
                                              entries=block[b]))
         return tuple(matrices)
     for b, m in enumerate(payloads, start=1):
-        matrices.append(ProjectionMatrix(
-            family=family, d=d, p=p, seed=m["seed"],
-            rows=np.asarray(m["rows"], dtype=np.int64),
-            cols=np.asarray(m["cols"], dtype=np.int64),
-            signs=np.asarray(m["signs"], dtype=np.int8)))
-        if not _triplets_fit(matrices[-1]):
-            raise ModelFormatError(f"member {b}: sparse triplets do not fit {d} x {p}")
+        rows, cols, signs = _triplets(m, b, d, p)
+        matrices.append(ProjectionMatrix(family=family, d=d, p=p, seed=m["seed"],
+                                         rows=rows, cols=cols, signs=signs))
     return tuple(matrices)
+
+
+def _triplets(m, b, d, p):
+    """Member b's stored (rows, cols, signs) as int64, int64 and int8 arrays,
+    refused unless they are what ``generate`` writes: three integer lists of
+    one length, inside d x p, strictly increasing in row * p + col, with
+    signs -1 or +1."""
+    triplets = [np.asarray(m[key]) for key in ("rows", "cols", "signs")]
+    if not all(t.ndim == 1 and len(t) == len(triplets[0])
+               and (t.dtype.kind in "iu" or not len(t)) for t in triplets):
+        raise ModelFormatError(f"member {b}: sparse triplets are not three integer "
+                               f"lists of one length")
+    rows, cols, signs = (t.astype(np.int64) for t in triplets)
+    if not (((0 <= rows) & (rows < d) & (0 <= cols) & (cols < p)).all()):
+        raise ModelFormatError(f"member {b}: sparse triplets do not fit {d} x {p}")
+    if not (np.abs(signs) == 1).all():
+        raise ModelFormatError(f"member {b}: sparse signs are not all -1 or +1")
+    if not (np.diff(rows * p + cols) > 0).all():
+        raise ModelFormatError(f"member {b}: sparse triplets are not strictly increasing "
+                               f"in row * p + col")
+    return rows, cols, signs.astype(np.int8)
 
 
 def model_to_dict(model: RpeModel, compact: bool = False,
@@ -253,13 +274,6 @@ def _check_model(model: RpeModel) -> None:
         raise ModelFormatError(
             f"member {b + 1}, class {model.class_labels[j]!r}: log_det "
             f"{model.members.log_det[b, j]!r} is not 2*sum(log(diag)) of its factor")
-
-
-def _triplets_fit(matrix: ProjectionMatrix) -> bool:
-    rows, cols = matrix.rows, matrix.cols
-    return (rows.shape == cols.shape == matrix.signs.shape
-            and bool(((0 <= rows) & (rows < matrix.d)).all())
-            and bool(((0 <= cols) & (cols < matrix.p)).all()))
 
 
 def save_model(model: RpeModel, path, compact: bool = False,

@@ -11,7 +11,9 @@ The library's handles carry only ``matvec``, ``solve``, ``log_det`` and
 * ``draw(cov, n, rng)`` -- n rows from N(0, Sigma) as a new array:
   allocate, then ``fill``;
 * ``dense_projection(matrix)`` -- the explicit d x p array of a projection
-  matrix, never through the library's stacked operator.
+  matrix, never through the library's stacked operator;
+* ``whole_height_trace(a, b)`` -- tr(a^{-1} b) by the column sweep that
+  applies both whole handles over all p rows at every step.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from rpeqda.covariance import (
     RotatedSpike,
     ScaledCovariance,
     SpikedIdentity,
+    _TRACE_CHUNK,
 )
 
 
@@ -121,3 +124,18 @@ def dense_projection(matrix):
     out = np.zeros((matrix.d, matrix.p))
     out[matrix.rows, matrix.cols] = matrix.signs
     return out
+
+
+def whole_height_trace(a, b):
+    """tr(a^{-1} b) through ``_TRACE_CHUNK`` identity columns at a time: both
+    handles applied to all p rows of each chunk, and the chunk's diagonal
+    entries summed by one ``sum``."""
+    p = a.p
+    total = 0.0
+    for lo in range(0, p, _TRACE_CHUNK):
+        hi = min(lo + _TRACE_CHUNK, p)
+        eye_cols = np.zeros((p, hi - lo))
+        eye_cols[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+        solved = a.solve(b.matvec(eye_cols))
+        total += float(solved[np.arange(lo, hi), np.arange(hi - lo)].sum())
+    return total

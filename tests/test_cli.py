@@ -604,13 +604,14 @@ class TestCommands:
         "config_d", "config_retries", "member_family", "member_kind", "mean_nan",
         "log_det_inf", "log_det_shift", "prior_inf", "factor_nan", "entries_nan",
         "entries_1d", "compact_d_above_p", "compact_entries", "full_seed_only", "storage",
-        "prior_member_unwrapped",
+        "prior_member_unwrapped", "stp_signs", "stp_fractional_rows", "stp_duplicate",
+        "ragged_entries",
     ])
     def test_bad_model_file_exits_nonzero_with_error_line(self, tmp_path, capsys, corrupt):
         train_csv = tmp_path / "train.csv"
         write_toy_csv(train_csv)
         model_path = tmp_path / "model.json"
-        family = ["--family", "stp"] if corrupt == "sparse_triplet" else []
+        family = ["--family", "stp"] if corrupt.startswith(("sparse", "stp")) else []
         compact = ["--compact"] if corrupt in ("member_family", "compact_d_above_p",
                                                "compact_entries") else []
         assert main(["train", "--data", str(train_csv), "--B", "4", "--d", "2",
@@ -640,6 +641,16 @@ class TestCommands:
             payload["config"]["family"] = "gauss"
         elif corrupt == "sparse_triplet":
             member["matrix"]["cols"][-1] = payload["p"]
+        elif corrupt == "stp_signs":
+            member["matrix"]["signs"] = [5] * len(member["matrix"]["signs"])
+        elif corrupt == "stp_fractional_rows":
+            member["matrix"]["rows"] = [row + 0.5 for row in member["matrix"]["rows"]]
+        elif corrupt == "stp_duplicate":
+            # the first triplet twice: generate writes distinct positions in order
+            for key in ("rows", "cols", "signs"):
+                member["matrix"][key].insert(0, member["matrix"][key][0])
+        elif corrupt == "ragged_entries":
+            member["matrix"]["entries"][0].pop()
         elif corrupt == "no_members":
             payload["config"]["B"], payload["members"] = 0, []
         elif corrupt == "config_d":
@@ -705,7 +716,7 @@ class TestCommands:
         assert err.startswith("error: ") and "Traceback" not in err
         if corrupt.startswith(("matrix", "factor", "sparse", "member_family", "member_kind",
                                "mean", "log_det", "entries", "compact", "full",
-                               "prior_member")):
+                               "prior_member", "stp", "ragged")):
             assert "member 2" in err
         if corrupt == "matrix_d":
             assert f"3 x {payload['p']} matrix" in err

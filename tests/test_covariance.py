@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpeqda import linalg
 from rpeqda.errors import DimensionMismatch, InvalidCovariance, InvalidParameter, RpeQdaError
@@ -17,8 +19,9 @@ from rpeqda.covariance import (
     trace_solve_product,
 )
 from rpeqda.rng import stream
+from rpeqda.schemes import build_scheme
 
-from oracles import DenseCovariance, dense, draw
+from oracles import DenseCovariance, dense, draw, whole_height_trace
 
 # SHA-256 of the bytes of draw(cov, 37, stream(4242)) for every handle of
 # fill_handles(), recorded before sampling went through fill
@@ -180,6 +183,103 @@ class TestTraceSolveProduct:
         base = EquiCorrelation(5000, 0.2)
         scaled = ScaledCovariance(base, 3.0)
         assert trace_solve_product(base, scaled) == pytest.approx(15000.0)
+
+
+BLOCK_KINDS = ("identity", "equi", "ar", "inv_ar", "scaled", "spike")
+
+
+def make_block(kind, width, rng):
+    """A diagonal block of one kind and width, its parameters drawn from rng."""
+    if kind == "identity":
+        return IdentityCovariance(width)
+    if kind == "equi":
+        return EquiCorrelation(width, rng.uniform(0.0, 0.9))
+    if kind == "ar":
+        return ArProcessCovariance(width, rng.uniform(-0.9, 0.9))
+    if kind == "inv_ar":
+        return InverseArCovariance(width, rng.uniform(-0.9, 0.9))
+    if kind == "scaled":
+        return ScaledCovariance(ArProcessCovariance(width, rng.uniform(-0.9, 0.9)),
+                                rng.uniform(0.5, 3.0))
+    basis = linalg.orthonormal_columns(rng.standard_normal((width, width)))
+    return RotatedSpike(basis, rng.uniform(0.5, 20.0, size=width))
+
+
+def blocks_at(edges, kinds, rng):
+    return BlockDiagonal([make_block(kind, hi - lo, rng)
+                          for kind, lo, hi in zip(kinds, edges, edges[1:])])
+
+
+@st.composite
+def block_diagonal_pairs(draw_from):
+    """Two BlockDiagonals of one p up to 700 with independent partitions, so
+    blocks of either straddle the 256-column steps and each other."""
+    p = draw_from(st.integers(1, 700))
+    rng = np.random.default_rng(draw_from(st.integers(0, 2 ** 32 - 1)))
+    pair = []
+    for _ in range(2):
+        cuts = draw_from(st.lists(st.integers(1, max(p - 1, 1)), max_size=8, unique=True))
+        edges = [0] + sorted(cut for cut in cuts if cut < p) + [p]
+        kinds = draw_from(st.lists(st.sampled_from(BLOCK_KINDS),
+                                   min_size=len(edges) - 1, max_size=len(edges) - 1))
+        pair.append(blocks_at(edges, kinds, rng))
+    return pair
+
+
+def assert_sweep_bits(a, b):
+    """Both directions of the trace carry the whole-height sweep's bits."""
+    for first, second in ((a, b), (b, a)):
+        assert float.hex(trace_solve_product(first, second)) == float.hex(
+            whole_height_trace(first, second))
+
+
+class TestTraceSweep:
+    """The sweep applies only the blocks each step reaches and keeps every
+    bit of the sweep that applies both whole handles at every step."""
+
+    @pytest.mark.parametrize("p", [64, 100, 512, 1000, 2048])
+    @pytest.mark.parametrize("scheme", ["s1", "s2", "s4"])
+    def test_scheme_pairs(self, scheme, p):
+        assert_sweep_bits(*(pop.cov for pop in build_scheme(scheme, p).populations))
+
+    @settings(max_examples=40, deadline=None)
+    @given(block_diagonal_pairs())
+    def test_random_block_diagonals(self, pair):
+        assert_sweep_bits(*pair)
+
+    @pytest.mark.parametrize("other", ["identity", "scaled_blocks", "spiked_identity"])
+    def test_mixed_pairs(self, other):
+        rng = np.random.default_rng(31)
+        p = 600
+        blocks = blocks_at([0, 100, 370, 520, 600], ["equi", "ar", "spike", "identity"], rng)
+        if other == "identity":
+            partner = IdentityCovariance(p)
+        elif other == "scaled_blocks":
+            partner = ScaledCovariance(
+                blocks_at([0, 250, 290, 600], ["inv_ar", "spike", "equi"], rng), 1.4)
+        else:
+            basis = linalg.orthonormal_columns(rng.standard_normal((p, 4)))
+            partner = SpikedIdentity(p, basis, np.array([6.0, 3.0, 1.5, 0.5]))
+        assert_sweep_bits(blocks, partner)
+
+    def test_s2_steps_apply_only_reached_blocks(self):
+        # one tr(Sigma_1^{-1} Sigma_2) of s2 at p = 2048: 48 block matvec and
+        # solve calls, where applying all 22 + 10 blocks at each of the 8
+        # steps makes 256
+        first, second = (pop.cov for pop in build_scheme("s2", 2048).populations)
+        calls = []
+
+        def counted(method):
+            def wrapper(v):
+                calls.append(method)
+                return method(v)
+            return wrapper
+
+        for block in first.blocks + second.blocks:
+            block.matvec = counted(block.matvec)
+            block.solve = counted(block.solve)
+        trace_solve_product(first, second)
+        assert len(calls) == 48
 
 
 class TestStructureSpecifics:

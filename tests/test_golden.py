@@ -88,13 +88,18 @@ ALIGNMENT_FILL_STP_SHA256 = {
     ("s3", 256): "c1e429c154d97f8197f29d61ce08ee917fa90e321359c891070cb3bac090c354",
     ("example2-r3", 300): "196a6945e2ae447a47d18246b5478b64ced95353fb216cdff104bde02b9f9395",
 }
-# float.hex of every kl_summary() value: s1's scaled AR blocks through the
-# column sweep, s3's scale pair and example2 (c=2.0, seed=1) in closed form
+# float.hex of every kl_summary() value: s1's scaled AR blocks, s2's
+# equicorrelation blocks and s4's rotated spikes through the column sweep,
+# s3's scale pair and example2 (c=2.0, seed=1) in closed form
 KL_SUMMARY_HEX = {
     ("s1", 512): ("0x1.86ebbc867a527p+5", "0x1.23c231cca574ap+4", "0x1.23c231cca574ap+4",
                   "0x1.23c231cca574ap-5", "0x1.23c231cca574ap-4"),
+    ("s2", 2048): ("0x1.c70cd496b3bbep+10", "0x1.43eb46710f2cap+12", "0x1.c70cd496b3bbep+10",
+                   "0x1.c70cd496b3bbep-1", "0x1.c70cd496b3bbep+0"),
     ("s3", 512): ("0x1.344fdba8bcac0p+3", "0x1.02d3968e66c60p+3", "0x1.02d3968e66c60p+3",
                   "0x1.02d3968e66c60p-6", "0x1.02d3968e66c60p-5"),
+    ("s4", 512): ("0x1.4754172bbeb3cp+8", "0x1.4754172bbeb3cp+8", "0x1.4754172bbeb3cp+8",
+                  "0x1.4754172bbeb3cp-1", "0x1.4754172bbeb3cp+0"),
     ("example2-r0", 300): ("0x1.70392fa658838p+5", "0x1.cf8da0b34ef90p+4",
                            "0x1.cf8da0b34ef90p+4", "0x1.8b90bfbe8e7bcp-4",
                            "0x1.8b90bfbe8e7bcp-3"),
