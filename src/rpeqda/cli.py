@@ -115,9 +115,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = _config_from_args(args)
     data = csvio.ingest_csv(args.data, label_col=args.label_col,
                             has_header=not args.no_header)
-    model = rpe.rpe_fit(data, _config_from_args(args))
+    model = rpe.rpe_fit(data, config)
     serialize.save_model(model, args.out, compact=args.compact,
                          run_config=_run_config(args, "train"))
     mode = "compact" if args.compact else "full"
@@ -147,9 +148,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    config = _config_from_args(args)
     data = csvio.ingest_csv(args.data, label_col=args.label_col,
                             has_header=not args.no_header)
-    report = evaluate.loocv(data, _config_from_args(args), identifier=args.data)
+    report = evaluate.loocv(data, config, identifier=args.data)
     payload = serialize.report_to_dict(report, run_config=_run_config(args, "cv"))
     serialize.write_json(payload, args.out)
     print(f"LOOCV misclassification {report.mean:.4f} (se {report.sd:.4f}); "

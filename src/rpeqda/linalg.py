@@ -29,10 +29,10 @@ stream (Salmon et al., 2011) and writes only its own output.  Row work is
 split by :func:`_in_halves` into two contiguous halves of whole pieces,
 one per thread: an ensemble's dense projection matrices
 (half of the seeds each), the sparse projection (half of the row blocks
-each), the finite-input scans (half of the scan steps each) and population
-mode's member chunks (half of the chunks each).  Each half computes what
-the whole would have computed for its rows, so no result depends on the
-schedule.
+each) and population mode's member chunks (half of the chunks each).  Each
+half computes what the whole would have computed for its rows, so no
+result depends on the schedule.  The finite-input scans run on the
+calling thread alone.
 
 One rule covers nested splits: a split requested inside an
 :func:`_in_parallel` task, on either thread, runs its tasks in order on
@@ -54,10 +54,10 @@ from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
 _BLAS_THREADS = 1
 _WORKER_THREADS = 2
 
-# (get, set) thread-count entry points of the OpenBLAS numpy loads: the
-# 64-bit-integer scipy-openblas of numpy's wheels, or a system OpenBLAS.
-# scipy's own OpenBLAS (32-bit scipy-openblas) is left alone: rpeqda makes
-# no BLAS call through scipy.
+# (get, set) thread-count entry points of the OpenBLAS numpy links, looked
+# up through numpy's linalg extension: the 64-bit-integer scipy-openblas of
+# numpy's wheels, or a system OpenBLAS.  scipy's own OpenBLAS (32-bit
+# scipy-openblas) is not reached: rpeqda makes no BLAS call through scipy.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
@@ -205,53 +205,31 @@ def orthonormal_columns(a: np.ndarray) -> np.ndarray:
     return q * np.sign(rdiag)
 
 
-class _LoadedLibrary(ctypes.Structure):
-    """Leading fields of ``struct dl_phdr_info``."""
-    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+def _numpy_openblas():
+    """``(get, set)`` thread-count functions of the OpenBLAS numpy links, or
+    None where it links none with one of ``_OPENBLAS_THREAD_SYMBOLS``.
 
-
-def _loaded_openblas() -> list:
-    """``(get, set)`` thread-count functions of every OpenBLAS loaded in
-    this process that exposes one of ``_OPENBLAS_THREAD_SYMBOLS``; empty
-    where the loaded libraries cannot be listed (no ``dl_iterate_phdr``)."""
-    paths = []
-
-    def collect(info, size, data):
-        name = info.contents.name
-        if name and b"openblas" in os.path.basename(name).lower():
-            paths.append(os.fsdecode(name))
-        return 0
-
-    callback_type = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_LoadedLibrary),
-                                     ctypes.c_size_t, ctypes.c_void_p)
+    They are looked up on a handle of numpy's own linalg extension, and a
+    symbol lookup on a handle also searches the libraries it depends on.
+    """
     try:
-        iterate = ctypes.CDLL(None).dl_iterate_phdr
-    except (AttributeError, OSError, TypeError):
-        return []
-    iterate.argtypes = [callback_type, ctypes.c_void_p]
-    iterate.restype = ctypes.c_int
-    callback = callback_type(collect)
-    iterate(callback, None)
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-        except OSError:
-            continue
-        for get_name, put_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, put_name):
-                get, put = getattr(lib, get_name), getattr(lib, put_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                found.append((get, put))
-                break
-    return found
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__,
+                          mode=getattr(os, "RTLD_NOLOAD", 0))
+    except (AttributeError, OSError):
+        return None
+    for get_name, put_name in _OPENBLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, put_name):
+            get, put = getattr(lib, get_name), getattr(lib, put_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
+_blas = _numpy_openblas()
 _blas_lock = threading.Lock()
 _blas_depth = 0
-_blas_libraries = None
-_blas_saved = ()
+_blas_saved = None
 
 
 @contextlib.contextmanager
@@ -263,27 +241,24 @@ def _one_blas_thread():
     process restores the count it found, and a depth counter under a lock
     keeps nested scopes and scopes entered on other threads at one thread
     until the last one leaves (BLAS the caller runs on other threads
-    meanwhile is on one thread too).  The libraries are looked up once, at
-    the first scope; where no controllable OpenBLAS is loaded the scope
-    does nothing.
+    meanwhile is on one thread too).  Where numpy links no OpenBLAS with a
+    thread-count interface the scope does nothing.
     """
-    global _blas_depth, _blas_libraries, _blas_saved
+    global _blas_depth, _blas_saved
     with _blas_lock:
-        if _blas_depth == 0:
-            if _blas_libraries is None:
-                _blas_libraries = _loaded_openblas()
-            _blas_saved = tuple(get() for get, _ in _blas_libraries)
-            for _, put in _blas_libraries:
-                put(_BLAS_THREADS)
+        if _blas_depth == 0 and _blas:
+            get, put = _blas
+            _blas_saved = get()
+            put(_BLAS_THREADS)
         _blas_depth += 1
     try:
         yield
     finally:
         with _blas_lock:
             _blas_depth -= 1
-            if _blas_depth == 0:
-                for (_, put), count in zip(_blas_libraries, _blas_saved):
-                    put(count)
+            if _blas_depth == 0 and _blas:
+                _, put = _blas
+                put(_blas_saved)
 
 
 _worker_lock = threading.Lock()

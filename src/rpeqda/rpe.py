@@ -40,13 +40,12 @@ the chunk's matrices were drawn into, for stp made dense).
 The calling thread fits and scores the first half of the chunks and the
 worker of :mod:`rpeqda.linalg` the second; the worker's splits inside its
 half (the draws, the sparse products) run inline, as do the caller's.
-The caller adds its members' scores as it goes, then the worker's, kept
-as (members, rows, J) per chunk, so the sum runs in member order.
+Both halves keep their scores as (members, rows, J) per chunk, and the
+scores are added after both are done, in member order.
 
 Non-finite input rows are rejected with ``NonFiniteInput`` rather than
-scored.  The scan reads ``_FINITE_CHECK_VALUES`` values at a time, the
-first half of its steps on the calling thread and the second on the
-worker of :mod:`rpeqda.linalg`, and names the first bad row either way.
+scored.  The scan reads ``_FINITE_CHECK_VALUES`` values at a time on the
+calling thread and names the first bad row.
 
 Every draw of member matrices, first draws and redraws alike, is one
 ``randproj.generate_many`` call, which splits dense draws over two threads.
@@ -111,8 +110,8 @@ class RpeConfig:
     """Ensemble hyperparameters.
 
     ``d = None`` defers to :func:`default_reduced_dim` at fit time.  A
-    config with ``B < 1``, ``d < 1`` or ``max_regen_retries < 0`` raises
-    ``InvalidParameter``.
+    config with ``B < 1``, ``d < 1``, ``max_regen_retries < 0`` or a ridge
+    that is negative or not finite raises ``InvalidParameter``.
     """
 
     B: int = DEFAULT_ENSEMBLE_SIZE
@@ -130,6 +129,9 @@ class RpeConfig:
         if self.max_regen_retries < 0:
             raise InvalidParameter(
                 f"need max_regen_retries >= 0, got {self.max_regen_retries}")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0.0):
+            raise InvalidParameter(
+                f"ridge must be finite and nonnegative, got {self.ridge!r}")
 
 
 @dataclass(frozen=True)
@@ -185,19 +187,12 @@ def member_seed(master_seed: int, b: int, attempt: int = 0) -> int:
 
 def _require_finite(x: np.ndarray, what: str) -> None:
     """Raise NonFiniteInput naming the first row of the 2-d ``x`` that
-    holds a NaN or an infinity.  Each half of the rows returns its own
-    first bad row, and the calling thread's half comes first."""
+    holds a NaN or an infinity."""
     step = max(1, _FINITE_CHECK_VALUES // max(1, x.shape[1]))
-
-    def first_bad(lo, hi):
-        for start in range(lo, hi, step):
-            bad = ~np.isfinite(x[start:min(start + step, hi)]).all(axis=1)
-            if bad.any():
-                return start + int(np.argmax(bad))
-        return None
-
-    for row in _in_halves(first_bad, x.shape[0], step):
-        if row is not None:
+    for start in range(0, x.shape[0], step):
+        bad = ~np.isfinite(x[start:start + step]).all(axis=1)
+        if bad.any():
+            row = start + int(np.argmax(bad))
             raise NonFiniteInput(f"{what}: row {row} holds a non-finite value")
 
 
@@ -385,12 +380,11 @@ def population_rpe_scores(populations, p: int, config: RpeConfig,
 
     Members are fitted and scored a chunk at a time (see
     :func:`_population_chunks`), the first half of the chunks on the
-    calling thread and the second on the worker.  The caller adds its
-    members' scores as it goes and then the worker's, which come back as
-    one (members, rows, J) array per chunk, so the scores accumulate in
-    member-index order whatever the chunk size or the schedule, and the
-    first member (in member order) that cannot be fitted raises
-    ``MemberDegenerate``.
+    calling thread and the second on the worker.  Each half returns one
+    (members, rows, J) array per chunk, and the scores are added once
+    both halves are done, in member-index order, so the sum does not
+    depend on the chunk size or the schedule; the first member (in member
+    order) that cannot be fitted raises ``MemberDegenerate``.
     """
     z_rows = np.asarray(z_rows, dtype=np.float64)
     if z_rows.ndim != 2 or z_rows.shape[1] != p:
@@ -402,20 +396,12 @@ def population_rpe_scores(populations, p: int, config: RpeConfig,
     priors = [prior for prior, _, _ in populations]
     moments = _population_moments(populations, p, config.d)
     chunks = _population_chunks(p, config, len(populations), z_rows.shape[0])
-    acc = np.zeros((z_rows.shape[0], len(populations)))
 
     def half(lo, hi):
-        # the caller's half, the one from chunk 0, adds to acc as it goes
-        kept = []
-        for members in chunks[lo:hi]:
-            member_scores = _member_scores(_fit_stack(config, p, members, moments),
-                                           priors, z_rows)
-            if lo == 0:
-                _add_members(acc, member_scores)
-            else:
-                kept.append(member_scores)
-        return kept
+        return [_member_scores(_fit_stack(config, p, members, moments), priors, z_rows)
+                for members in chunks[lo:hi]]
 
+    acc = np.zeros((z_rows.shape[0], len(populations)))
     for kept in _in_halves(half, len(chunks)):
         for member_scores in kept:
             _add_members(acc, member_scores)

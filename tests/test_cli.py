@@ -597,6 +597,16 @@ class TestCommands:
                      "--out", str(tmp_path / "m.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_bad_config_reported_before_the_data_is_read(self, tmp_path, capsys, command):
+        # the config is built before the CSV is parsed, so a bad flag is
+        # reported even where the data file is missing
+        code = main([command, "--data", str(tmp_path / "nope.csv"), "--d", "0",
+                     "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: need d >= 1") and "nope.csv" not in err
+
     @pytest.mark.parametrize("corrupt", [
         "schema", "not_json", "not_utf8", "json_list", "missing_key", "member_count",
         "matrix_d", "matrix_p", "factor_upper", "factor_diag", "factor_size", "family",
@@ -605,7 +615,7 @@ class TestCommands:
         "log_det_inf", "log_det_shift", "prior_inf", "factor_nan", "entries_nan",
         "entries_1d", "compact_d_above_p", "compact_entries", "full_seed_only", "storage",
         "prior_member_unwrapped", "stp_signs", "stp_fractional_rows", "stp_duplicate",
-        "ragged_entries",
+        "ragged_entries", "ridge_negative", "ridge_nan",
     ])
     def test_bad_model_file_exits_nonzero_with_error_line(self, tmp_path, capsys, corrupt):
         train_csv = tmp_path / "train.csv"
@@ -657,6 +667,10 @@ class TestCommands:
             payload["config"]["d"] = 0
         elif corrupt == "config_retries":
             payload["config"]["max_regen_retries"] = -1
+        elif corrupt == "ridge_negative":
+            payload["config"]["ridge"] = -1.0
+        elif corrupt == "ridge_nan":
+            payload["config"]["ridge"] = float("nan")
         elif corrupt in ("prior_member", "prior_member_unwrapped"):
             # members must share each class's prior
             member["model"]["classes"][0]["prior"] = 0.25

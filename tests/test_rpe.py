@@ -71,9 +71,13 @@ class TestFit:
 
     @pytest.mark.parametrize("ridge", [-1.0, -1e-300, np.nan, np.inf])
     def test_bad_ridge_rejected(self, ridge):
-        # sample fit and population mode share the ridge check
+        # the config refuses the ridge; one set past that check is refused
+        # by sample fit and population mode alike, which share qda's check
+        with pytest.raises(InvalidParameter):
+            rpe.RpeConfig(B=2, d=2, ridge=ridge)
         rng = np.random.default_rng(1)
-        config = rpe.RpeConfig(B=2, d=2, ridge=ridge)
+        config = rpe.RpeConfig(B=2, d=2)
+        object.__setattr__(config, "ridge", ridge)
         with pytest.raises(InvalidParameter) as err:
             rpe.rpe_fit(two_class_data(rng), config)
         assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
@@ -83,11 +87,13 @@ class TestFit:
 
     @pytest.mark.parametrize("fields", [
         {"B": 0}, {"B": -2}, {"d": 0}, {"d": -1}, {"max_regen_retries": -1},
+        {"ridge": -1.0}, {"ridge": np.nan}, {"ridge": np.inf},
     ])
     def test_bad_config_rejected_before_any_work(self, fields):
         # B = 0 once gave NaN population scores, B = -2 zeros, d = 0 a bare
         # ZeroDivisionError and max_regen_retries = -1 a MemberDegenerate
-        # without a draw; the config itself now refuses them
+        # without a draw, and a model file with a bad ridge still loaded;
+        # the config itself now refuses them
         with pytest.raises(InvalidParameter) as err:
             rpe.RpeConfig(**fields)
         assert isinstance(err.value, RpeQdaError) and isinstance(err.value, ValueError)
@@ -250,9 +256,8 @@ class TestScores:
         with pytest.raises(NonFiniteInput):
             rpe.rpe_scores(model, np.full(5, np.inf))
 
-    # With 2-row scan steps the calling thread scans rows 0-29 of the 60
-    # training rows and the worker rows 30-59; of 13 rows to score (7
-    # steps) the caller scans rows 0-7 and the worker rows 8-12.
+    # With 2-row scan steps the 60 training rows take 30 steps and the 13
+    # rows to score 7; the scan stops at the first step with a bad row.
     @pytest.mark.parametrize("where, bad, named", [
         ("training features", (7, 41), 7), ("training features", (29, 30), 29),
         ("training features", (30,), 30), ("training features", (30, 59), 30),
@@ -597,7 +602,7 @@ class TestPopulationStacks:
     @pytest.mark.parametrize("family", [SN, STP])
     def test_two_thread_split_matches_serial_sum(self, monkeypatch, B, members, chunks,
                                                  family):
-        # the caller adds its chunks as it goes and the worker's afterwards:
+        # both halves keep their chunks' scores, added after both are done:
         # the same member-order sum as one thread fitting chunk after chunk
         spec = schemes.build_example2(40, c=2.0, r=3, spike_bound=4.0, seed=4)
         pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]

@@ -19,27 +19,45 @@ from rpeqda.errors import MemberDegenerate, NonFiniteInput
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-LIBRARIES = linalg._loaded_openblas()
+BLAS = linalg._numpy_openblas()
 needs_openblas = pytest.mark.skipif(
-    not LIBRARIES, reason="no OpenBLAS with a thread-count interface is loaded")
+    BLAS is None, reason="numpy links no OpenBLAS with a thread-count interface")
+NUMPY_BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
 # the caller's setting the tests start every call from: not 1, so a scope
 # that forgets to restore it shows
 CALLER_THREADS = 2
 
 
 def blas_threads():
-    return [get() for get, _ in LIBRARIES]
+    get, _ = BLAS
+    return get()
 
 
 @pytest.fixture
 def caller_threads():
-    saved = blas_threads()
-    for _, put in LIBRARIES:
-        put(CALLER_THREADS)
+    get, put = BLAS
+    saved = get()
+    put(CALLER_THREADS)
     yield
-    for (_, put), count in zip(LIBRARIES, saved):
-        put(count)
+    put(saved)
     assert linalg._blas_depth == 0
+
+
+@pytest.mark.skipif("openblas" not in NUMPY_BLAS.lower(),
+                    reason=f"numpy's BLAS is {NUMPY_BLAS}, not an OpenBLAS")
+def test_lookup_finds_the_openblas_numpy_links():
+    # numpy names an OpenBLAS, so the lookup must find it; were it to come
+    # back empty, the scope tests below would only skip
+    assert BLAS is not None
+    get, put = BLAS
+    saved = get()
+    put(CALLER_THREADS)
+    try:
+        with linalg._one_blas_thread():
+            assert get() == 1
+        assert get() == CALLER_THREADS
+    finally:
+        put(saved)
 
 
 def toy_data(seed=1, p=12):
@@ -82,28 +100,28 @@ class TestBlasScope:
 
         monkeypatch.setattr(rpe, "project_many", spy)
         CALLS[name]()
-        assert seen and all(threads == [1] * len(LIBRARIES) for threads in seen)
-        assert blas_threads() == [CALLER_THREADS] * len(LIBRARIES)
+        assert seen and all(threads == 1 for threads in seen)
+        assert blas_threads() == CALLER_THREADS
 
     def test_setting_comes_back_after_a_raise(self):
         data = toy_data()
         data.features[3, 4] = np.nan
         with pytest.raises(NonFiniteInput):
             rpe.rpe_fit(data, rpe.RpeConfig(B=2, d=2))
-        assert blas_threads() == [CALLER_THREADS] * len(LIBRARIES)
+        assert blas_threads() == CALLER_THREADS
         constant = Dataset(np.ones((20, 8)), ("a",) * 10 + ("b",) * 10)
         with pytest.raises(MemberDegenerate):
             rpe.rpe_fit(constant, rpe.RpeConfig(B=2, d=2, max_regen_retries=1))
-        assert blas_threads() == [CALLER_THREADS] * len(LIBRARIES)
+        assert blas_threads() == CALLER_THREADS
 
     def test_nested_scopes_keep_one_thread_until_the_outermost_leaves(self):
         with linalg._one_blas_thread():
             rpe.rpe_fit(toy_data(), rpe.RpeConfig(B=2, d=2))
-            assert blas_threads() == [1] * len(LIBRARIES)
+            assert blas_threads() == 1
             with linalg._one_blas_thread():
-                assert blas_threads() == [1] * len(LIBRARIES)
-            assert blas_threads() == [1] * len(LIBRARIES)
-        assert blas_threads() == [CALLER_THREADS] * len(LIBRARIES)
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == CALLER_THREADS
 
     def test_concurrent_fits_share_the_scope(self, monkeypatch):
         # two threads fit at once: while either is inside, BLAS stays on one
@@ -126,8 +144,8 @@ class TestBlasScope:
         for fit in fits:
             fit.join(timeout=60)
         assert not any(fit.is_alive() for fit in fits)
-        assert len(seen) == 4 and all(threads == [1] * len(LIBRARIES) for threads in seen)
-        assert blas_threads() == [CALLER_THREADS] * len(LIBRARIES)
+        assert len(seen) == 4 and all(threads == 1 for threads in seen)
+        assert blas_threads() == CALLER_THREADS
 
     def test_depth_survives_many_threads_entering_at_once(self):
         # three threads enter and leave nested scopes with a short switch
@@ -141,7 +159,7 @@ class TestBlasScope:
             for _ in range(20000):
                 with linalg._one_blas_thread():
                     with linalg._one_blas_thread():
-                        if blas_threads() != [1] * len(LIBRARIES):
+                        if blas_threads() != 1:
                             outside.append(blas_threads())
 
         interval = sys.getswitchinterval()
@@ -157,7 +175,7 @@ class TestBlasScope:
         assert not any(thread.is_alive() for thread in threads)
         assert outside == []
         assert linalg._blas_depth == 0
-        assert blas_threads() == [CALLER_THREADS] * len(LIBRARIES)
+        assert blas_threads() == CALLER_THREADS
 
 
 class TestInHalves:
