@@ -68,6 +68,11 @@ def _provenance(run_config) -> str:
     return f"{serialize.tool_version()} {serialize.canonical_json(run_config)}"
 
 
+def _ingest(args):
+    return csvio.ingest_csv(args.data, label_col=args.label_col,
+                            has_header=not args.no_header)
+
+
 def _build_spec(args):
     if args.scheme == "example2":
         return schemes.build_example2(args.p, args.c, args.r,
@@ -97,27 +102,25 @@ def cmd_bench(args) -> int:
         print(f"scheme {args.scheme} p={p}: mean={report.mean:.4f} sd={report.sd:.4f}")
     payload = {"schema": serialize.REPORT_SCHEMA, "tool": serialize.tool_version(),
                "run_config": run_config,
-               "reports": [r.to_dict(include_timing=True) for r in reports]}
+               "reports": [r.to_dict() for r in reports]}
     serialize.write_json(payload, args.out)
+    # paper layout: one column per p; the method row's cells are "mean (sd)"
     method = f"RPE-{'SN' if config.family is ProjectionFamily.STANDARD_NORMAL else 'STP'}"
-    rows = {
-        f"{method} (B={config.B}, d={config.d if config.d is not None else 'auto'})":
-            {r.p: (r.mean, r.sd) for r in reports},
-        "KL/p": {r.p: r.kl["kl_min_over_p"] for r in reports},
-        "2KL/p": {r.p: r.kl["two_kl_min_over_p"] for r in reports},
-    }
+    d = config.d if config.d is not None else "auto"
+    rows = [f"{method} (B={config.B}, d={d})," + ",".join(
+                f"{r.mean:.2f} ({r.sd:.2f})" for r in reports),
+            "KL/p," + ",".join(f"{r.kl['kl_min_over_p']:.2f}" for r in reports),
+            "2KL/p," + ",".join(f"{r.kl['two_kl_min_over_p']:.2f}" for r in reports)]
     table_path = args.csv or (str(args.out) + ".csv")
-    with open(table_path, "w", encoding="utf-8") as handle:
-        handle.write(f"# {_provenance(run_config)}\n")
-        handle.write(serialize.benchmark_table_csv(rows, [r.p for r in reports]))
+    csvio.write_lines(table_path, _provenance(run_config),
+                      "method," + ",".join(str(r.p) for r in reports), rows)
     print(f"wrote {args.out} and {table_path}")
     return 0
 
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    data = csvio.ingest_csv(args.data, label_col=args.label_col,
-                            has_header=not args.no_header)
+    data = _ingest(args)
     model = rpe.rpe_fit(data, config)
     serialize.save_model(model, args.out, compact=args.compact,
                          run_config=_run_config(args, "train"))
@@ -131,26 +134,20 @@ def cmd_predict(args) -> int:
     if args.no_label:
         features = csvio.ingest_features_csv(args.data, has_header=not args.no_header)
     else:
-        features = csvio.ingest_csv(args.data, label_col=args.label_col,
-                                    has_header=not args.no_header).features
+        features = _ingest(args).features
     scores = rpe.rpe_scores_rows(model, features)
     predicted = [model.class_labels[j] for j in np.argmax(scores, axis=1)]
-    run_config = _run_config(args, "predict")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# {_provenance(run_config)}\n")
-        names = ",".join(f"score_{label}" for label in model.class_labels)
-        handle.write(f"predicted,{names}\n")
-        for label, row in zip(predicted, scores):
-            cells = ",".join(format(v, ".17g") for v in row)
-            handle.write(f"{label},{cells}\n")
+    csvio.write_lines(args.out, _provenance(_run_config(args, "predict")),
+                      "predicted," + ",".join(f"score_{label}" for label in model.class_labels),
+                      (label + "," + ",".join(format(v, ".17g") for v in row)
+                       for label, row in zip(predicted, scores)))
     print(f"wrote {len(predicted)} predictions to {args.out}")
     return 0
 
 
 def cmd_cv(args) -> int:
     config = _config_from_args(args)
-    data = csvio.ingest_csv(args.data, label_col=args.label_col,
-                            has_header=not args.no_header)
+    data = _ingest(args)
     report = evaluate.loocv(data, config, identifier=args.data)
     payload = serialize.report_to_dict(report, run_config=_run_config(args, "cv"))
     serialize.write_json(payload, args.out)
@@ -160,22 +157,15 @@ def cmd_cv(args) -> int:
 
 
 def cmd_kl_diag(args) -> int:
-    data = csvio.ingest_csv(args.data, label_col=args.label_col,
-                            has_header=not args.no_header)
+    data = _ingest(args)
     theta = evaluate.theta_lower_bound(data)
     log_values = theta.log_over_p(data.p)
     run_config = _run_config(args, "kl-diag")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# {_provenance(run_config)}\n")
-        handle.write("," + ",".join(theta.labels) + "\n")
-        for i, label in enumerate(theta.labels):
-            cells = []
-            for j in range(len(theta.labels)):
-                if i == j:
-                    cells.append("")
-                else:
-                    cells.append(format(log_values[i, j], ".17g"))
-            handle.write(label + "," + ",".join(cells) + "\n")
+    # the diagonal (log 0) is left empty
+    csvio.write_lines(args.out, _provenance(run_config), "," + ",".join(theta.labels),
+                      (label + "," + ",".join("" if i == j else format(v, ".17g")
+                                              for j, v in enumerate(row))
+                       for i, (label, row) in enumerate(zip(theta.labels, log_values))))
     if args.svg:
         display = log_values.copy()
         np.fill_diagonal(display, np.nan)
@@ -187,39 +177,31 @@ def cmd_kl_diag(args) -> int:
 
 
 def cmd_viz2d(args) -> int:
-    data = csvio.ingest_csv(args.data, label_col=args.label_col,
-                            has_header=not args.no_header)
-    matrix = generate(args.family, 2, data.p, args.seed)
-    projected = project(matrix, data.features)
+    data = _ingest(args)
+    projected = project(generate(args.family, 2, data.p, args.seed), data.features)
     labels = data.class_labels
     model = qda.fit_grouped([(label, projected[data.class_indices(label)])
                              for label in labels], ridge=args.ridge)
-    first, second = labels[0], labels[1]
-
     lo = projected.min(axis=0)
     hi = projected.max(axis=0)
-    grid_x = np.linspace(lo[0], hi[0], args.grid)
-    grid_y = np.linspace(lo[1], hi[1], args.grid)
+    # grid points row by row: x varies fastest
+    grid = np.column_stack([np.tile(np.linspace(lo[0], hi[0], args.grid), args.grid),
+                            np.repeat(np.linspace(lo[1], hi[1], args.grid), args.grid)])
+
+    def scored(kind, points, truth):
+        for (x, y), label, row in zip(points, truth, qda.class_scores_rows(*model, points)):
+            yield kind, x, y, label, labels[int(np.argmax(row))], row[0] - row[1]
+
+    rows = [*scored("point", projected, data.labels), *scored("grid", grid, [""] * len(grid))]
     run_config = _run_config(args, "viz2d")
-    grid_cells = []
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# {_provenance(run_config)}\n")
-        handle.write("kind,x,y,label,pred,score_diff\n")
-        scores = qda.class_scores_rows(*model, projected)
-        for (x, y), label, row in zip(projected, data.labels, scores):
-            pred = labels[int(np.argmax(row))]
-            diff = row[0] - row[1]
-            handle.write(f"point,{x:.17g},{y:.17g},{label},{pred},{diff:.17g}\n")
-        # grid points row by row: x varies fastest
-        grid = np.column_stack([np.tile(grid_x, args.grid), np.repeat(grid_y, args.grid)])
-        for (x, y), row in zip(grid, qda.class_scores_rows(*model, grid)):
-            pred = labels[int(np.argmax(row))]
-            diff = row[0] - row[1]
-            grid_cells.append((x, y, pred))
-            handle.write(f"grid,{x:.17g},{y:.17g},,{pred},{diff:.17g}\n")
+    csvio.write_lines(args.out, _provenance(run_config), "kind,x,y,label,pred,score_diff",
+                      (f"{kind},{x:.17g},{y:.17g},{label},{pred},{diff:.17g}"
+                       for kind, x, y, label, pred, diff in rows))
     if args.svg:
-        figures.svg_scatter(projected, data.labels, labels, grid_cells,
-                            args.svg, title=f"2-d projection (boundary {first} vs {second})",
+        figures.svg_scatter(projected, data.labels, labels,
+                            [(x, y, pred) for kind, x, y, _, pred, _ in rows if kind == "grid"],
+                            args.svg,
+                            title=f"2-d projection (boundary {labels[0]} vs {labels[1]})",
                             comment=serialize.canonical_json(run_config))
     print(f"wrote projected points and {args.grid}x{args.grid} grid to {args.out}")
     return 0

@@ -1,5 +1,8 @@
 """CSV ingestion and export.
 
+Every CSV file the package writes, data or table, goes through
+``write_lines``.
+
 Grammar: UTF-8, comma-separated, optional single header line, label in one
 designated column (first by default), all remaining columns decimal
 floats.  Lines starting with ``#`` are provenance comments and are skipped
@@ -202,14 +205,22 @@ def _non_finite(line_no, col_no):
                         f"non-finite value at line {line_no}, column {col_no}")
 
 
+def write_lines(path, comment: str, header: str, lines) -> None:
+    """Write a text table in UTF-8 with LF line ends: a ``# comment`` line
+    unless ``comment`` is empty, the ``header`` line, then each line of the
+    iterable ``lines`` (given without its line end) as it arrives."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        if comment:
+            handle.write(f"# {comment}\n")
+        handle.write(f"{header}\n")
+        for line in lines:
+            handle.write(f"{line}\n")
+
+
 def export_csv(dataset: Dataset, path, meta: str = "") -> None:
     """Write a Dataset in the ingestion grammar (label first, 17
     significant digits so a round trip reproduces the floats exactly)."""
     row_format = ",".join(["%.17g"] * dataset.p)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        if meta:
-            handle.write(f"# {meta}\n")
-        names = ",".join(f"f{j + 1}" for j in range(dataset.p))
-        handle.write(f"label,{names}\n")
-        for label, row in zip(dataset.labels, dataset.features):
-            handle.write(f"{label},{row_format % tuple(row)}\n")
+    write_lines(path, meta, "label," + ",".join(f"f{j + 1}" for j in range(dataset.p)),
+                (f"{label},{row_format % tuple(row)}"
+                 for label, row in zip(dataset.labels, dataset.features)))

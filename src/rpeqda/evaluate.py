@@ -255,29 +255,14 @@ class ThetaMatrix:
             return np.log(self.values / p)
 
 
-def _helmert_factor(rows: np.ndarray) -> np.ndarray:
-    """p x (n-1) factor U with U U' equal to the class sample covariance.
-
-    Applies the (n-1) x n Helmert rows (orthonormal, orthogonal to the
-    all-ones vector) to the centered data, dropping the degree of freedom
-    consumed by centering so U has the covariance's true rank.
-    """
-    n = rows.shape[0]
-    centered = rows - rows.mean(axis=0)
-    i = np.arange(1, n)
-    scale = 1.0 / np.sqrt(i * (i + 1.0))
-    helmert = np.tril(np.ones((n - 1, n)), k=0) * scale[:, None]
-    helmert[np.arange(n - 1), np.arange(1, n)] = -i * scale
-    reduced = helmert @ centered
-    return reduced.T / math.sqrt(n - 1)
-
-
 @_one_blas_thread()
 def theta_lower_bound(data: Dataset) -> ThetaMatrix:
     """Sample estimate of the pairwise KL lower bound for every ordered
     class pair, via the low-rank identity
     (I + U U')^{-1} v = v - U (I + U' U)^{-1} U' v
-    with Sigma_hat_k = U U'; cost O(p n_k^2), no p x p inverse."""
+    with U the p x n_k centered class rows over sqrt(n_k - 1), so that
+    Sigma_hat_k = U U' (the identity needs no full column rank); cost
+    O(p n_k^2), no p x p inverse."""
     labels = data.class_labels
     means, factors, grams = {}, {}, {}
     for label in labels:
@@ -286,7 +271,7 @@ def theta_lower_bound(data: Dataset) -> ThetaMatrix:
             raise TooFewSamplesForClass(
                 label, f"class {label!r} needs at least 2 samples")
         means[label] = rows.mean(axis=0)
-        u = _helmert_factor(rows)
+        u = (rows - means[label]).T / math.sqrt(rows.shape[0] - 1)
         factors[label] = u
         grams[label] = np.eye(u.shape[1]) + u.T @ u
     values = np.zeros((len(labels), len(labels)))

@@ -30,7 +30,19 @@ def _ramp(value, vmin, vmax):
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def svg_heatmap(values, labels, path, title="", comment="") -> None:
+def _write_svg(path, width, height, margin, title, comment, body) -> None:
+    """Write one SVG document: the open tag, ``comment`` as an XML comment,
+    ``title`` at the top left (at x = ``margin``), the ``body`` elements,
+    and the close tag, one element a line, with LF line ends."""
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" font-family="sans-serif" font-size="12">',
+            f"<!-- {comment} -->",
+            f'<text x="{margin}" y="20" font-size="14">{title}</text>']
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(head + body + ["</svg>"]) + "\n")
+
+
+def svg_heatmap(values, labels, path, title, comment) -> None:
     """Write a J x J annotated heatmap; non-finite cells render grey."""
     values = np.asarray(values, dtype=np.float64)
     j = values.shape[0]
@@ -40,12 +52,7 @@ def svg_heatmap(values, labels, path, title="", comment="") -> None:
     finite = values[np.isfinite(values)]
     vmin = float(finite.min()) if finite.size else 0.0
     vmax = float(finite.max()) if finite.size else 1.0
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size + 30}" font-family="sans-serif" font-size="12">']
-    if comment:
-        parts.append(f"<!-- {comment} -->")
-    if title:
-        parts.append(f'<text x="{margin}" y="20" font-size="14">{title}</text>')
+    parts = []
     for row in range(j):
         y = margin + row * cell
         parts.append(f'<text x="{margin - 8}" y="{y + cell / 2 + 4}" '
@@ -65,13 +72,11 @@ def svg_heatmap(values, labels, path, title="", comment="") -> None:
             if text:
                 parts.append(f'<text x="{x + cell / 2}" y="{y + cell / 2 + 4}" '
                              f'text-anchor="middle">{text}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts) + "\n")
+    _write_svg(path, size, size + 30, margin, title, comment, parts)
 
 
 def svg_scatter(points, point_labels, class_order, grid_cells, path,
-                title="", comment="") -> None:
+                title, comment) -> None:
     """Projected 2-d scatter over a predicted-class background grid.
 
     ``grid_cells`` is a list of (x, y, predicted label); each cell is drawn
@@ -99,12 +104,7 @@ def svg_scatter(points, point_labels, class_order, grid_cells, path,
     n_side = max(int(math.sqrt(len(grid_cells))), 1)
     cell_w = (width - 2 * margin) / max(n_side - 1, 1)
     cell_h = (height - 2 * margin) / max(n_side - 1, 1)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" font-family="sans-serif" font-size="12">']
-    if comment:
-        parts.append(f"<!-- {comment} -->")
-    if title:
-        parts.append(f'<text x="{margin}" y="20" font-size="14">{title}</text>')
+    parts = []
     for x, y, pred in grid_cells:
         parts.append(
             f'<rect x="{sx(x) - cell_w / 2:.1f}" y="{sy(y) - cell_h / 2:.1f}" '
@@ -117,6 +117,4 @@ def svg_scatter(points, point_labels, class_order, grid_cells, path,
         parts.append(f'<circle cx="{width - 120}" cy="{20 + 16 * i}" r="5" '
                      f'fill="{color[label]}"/>')
         parts.append(f'<text x="{width - 108}" y="{24 + 16 * i}">{label}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts) + "\n")
+    _write_svg(path, width, height, margin, title, comment, parts)

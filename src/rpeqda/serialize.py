@@ -1,6 +1,6 @@
 """Canonical JSON serialization and model persistence.
 
-Every artifact this package writes goes through :func:`canonical_json`,
+Every JSON artifact this package writes goes through :func:`canonical_json`,
 which prints floats with 17 significant digits (bit-faithful float64
 round-trips) and preserves key insertion order, so identical in-memory
 values always produce byte-identical files.
@@ -78,7 +78,7 @@ def canonical_json(value) -> str:
 
 
 def write_json(value, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(canonical_json(value))
         handle.write("\n")
 
@@ -290,36 +290,7 @@ def load_model(path) -> RpeModel:
     return model_from_dict(payload)
 
 
-def report_to_dict(report, run_config: dict | None = None,
-                   include_timing: bool = True) -> dict:
-    """Wrap an EvalReport (or any to_dict-able result) as a report file."""
-    body = report.to_dict(include_timing=include_timing)
-    out = {"schema": REPORT_SCHEMA, "tool": tool_version()}
-    if run_config is not None:
-        out["run_config"] = dict(run_config)
-    out.update(body)
-    return out
-
-
-def format_table_cell(mean: float, sd: float) -> str:
-    return f"{mean:.2f} ({sd:.2f})"
-
-
-def benchmark_table_csv(rows: dict, p_values) -> str:
-    """Paper-layout table: one row per method/config label, one column per
-    p, cell = "mean (sd)"; extra scalar rows (KL conventions) print bare
-    values."""
-    p_values = list(p_values)
-    lines = ["method," + ",".join(str(p) for p in p_values)]
-    for label, by_p in rows.items():
-        cells = []
-        for p in p_values:
-            value = by_p.get(p)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, tuple):
-                cells.append(format_table_cell(*value))
-            else:
-                cells.append(f"{value:.2f}")
-        lines.append(label + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+def report_to_dict(report, run_config: dict) -> dict:
+    """Wrap an EvalReport as a report file, with its timing block."""
+    return {"schema": REPORT_SCHEMA, "tool": tool_version(),
+            "run_config": dict(run_config), **report.to_dict()}

@@ -13,7 +13,10 @@ The library's handles carry only ``matvec``, ``solve``, ``log_det`` and
 * ``dense_projection(matrix)`` -- the explicit d x p array of a projection
   matrix, never through the library's stacked operator;
 * ``whole_height_trace(a, b)`` -- tr(a^{-1} b) by the column sweep that
-  applies both whole handles over all p rows at every step.
+  applies both whole handles over all p rows at every step;
+* ``helmert_theta(data)`` -- the pairwise KL lower bound through each
+  class's rank-(n_k - 1) Helmert factor and its (n_k - 1) x (n_k - 1)
+  Gram.
 """
 
 import numpy as np
@@ -139,3 +142,29 @@ def whole_height_trace(a, b):
         solved = a.solve(b.matvec(eye_cols))
         total += float(solved[np.arange(lo, hi), np.arange(hi - lo)].sum())
     return total
+
+
+def helmert_theta(data):
+    """The J x J pairwise bound 0.5 dmu' (I + Sigma_hat_k)^{-1} dmu through
+    the Woodbury identity on U = H (X_k - xbar_k) / sqrt(n_k - 1), H the
+    (n_k - 1) x n_k Helmert rows (orthonormal, orthogonal to the all-ones
+    vector), so that U has the covariance's rank."""
+    labels = data.class_labels
+    out = np.zeros((len(labels), len(labels)))
+    stats = {}
+    for label in labels:
+        rows = data.features[data.class_indices(label)]
+        n = rows.shape[0]
+        i = np.arange(1, n)
+        scale = 1.0 / np.sqrt(i * (i + 1.0))
+        helmert = np.tril(np.ones((n - 1, n)), k=0) * scale[:, None]
+        helmert[np.arange(n - 1), np.arange(1, n)] = -i * scale
+        u = (helmert @ (rows - rows.mean(axis=0))).T / np.sqrt(n - 1)
+        stats[label] = rows.mean(axis=0), u, np.eye(n - 1) + u.T @ u
+    for i, k in enumerate(labels):
+        mean, u, gram = stats[k]
+        for j, k2 in enumerate(labels):
+            if i != j:
+                dmu = mean - stats[k2][0]
+                out[i, j] = 0.5 * float(dmu @ (dmu - u @ np.linalg.solve(gram, u.T @ dmu)))
+    return out

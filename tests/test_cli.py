@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -804,3 +806,100 @@ class TestCommands:
                      "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+
+def _drop_timing(payload):
+    """A report payload without its wall-clock ``timing`` blocks."""
+    payload.pop("timing", None)
+    for report in payload.get("reports", ()):
+        report.pop("timing", None)
+    return payload
+
+
+# SHA-256 of every artifact of ``golden_run``; a JSON report is hashed in
+# canonical form without its timing blocks, which hold wall-clock times
+GOLDEN_ARTIFACT_SHA256 = {
+    "bench.csv": "fe101add7bc70a60fb741d78b7294553d44077291382c12e4f7c6ccd158ca018",
+    "bench.json": "298d393ed59bcf84c1070bce45acf1f3c971bbb9265a330a2f0863adaae49d13",
+    "compact.json": "2fb2255764c5ac0ef45934150b7cd54489f575bc60948b2310fe5ac6b4ed6e89",
+    "cv.json": "004828dea16df175f667315aa5efff55f2c5639072b47b52536c17a27edbdc44",
+    "full.json": "1a16ef7879322251ec26da56c4521c46c882d488775f3c63f4999759a596424a",
+    "kl.csv": "c4b60643b9d9544f3423ce86d9744e01276d950736a58e53b960cf272bae23ed",
+    "kl.svg": "ad539dc0fbef3bb343825ffea4610a5cdd3d0895c0f4e9d6a3dd95c4ddabc84f",
+    "pred.csv": "1f73106f3e3ffb2a4dcb94ba044704ed5ce9aaf4ff7dcee8bb7c99f91c11e41e",
+    "sim.csv": "33c13be6b006dd23ddd9119a2c479a2d7a446f0aa164a68e5b3d7e2c805c5eaf",
+    "three.csv": "5508019b00c810cbb528dc1f247bafd9de2ac85c4a2bac000d3f94a8dda6e00f",
+    "viz.csv": "1925018fe32dfaa1bba41457edbac5c11bb4d20c120c88bbabf7597ce0e26420",
+    "viz.svg": "62962cfc2d278b7363943302f771696498985735153451096746f40042deadf0",
+}
+GOLDEN_STDOUT_SHA256 = "e5db508398a63d6e92567e82a3c1c785cdb82dc14d931e2d53979df87b3386fb"
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """Run every subcommand once on small inputs inside a fresh directory,
+    with relative paths so each run config is the same on every run; return
+    the directory and the captured stdout."""
+    workdir = tmp_path_factory.mktemp("golden")
+    rng = np.random.default_rng(27)
+    features = np.vstack([rng.standard_normal((10, 6)) * scale + shift
+                          for scale, shift in ((1.0, 0.0), (1.5, 1.0), (0.7, -1.0))])
+    commands = [
+        "simulate --scheme s2 --p 16 --n-per-class 4 --data-seed 2 --out sim.csv",
+        "bench --scheme s2 --p-list 64 128 --reps 2 --n-train 10 --n-test 5 --B 10 --d 3"
+        " --out bench.json --csv bench.csv",
+        "train --data three.csv --B 6 --d 2 --seed 4 --out full.json",
+        "train --data three.csv --B 6 --d 2 --seed 4 --family stp --compact --out compact.json",
+        "predict --model full.json --data three.csv --out pred.csv",
+        "cv --data three.csv --B 4 --d 2 --seed 1 --out cv.json",
+        "kl-diag --data three.csv --out kl.csv --svg kl.svg",
+        "viz2d --data three.csv --seed 3 --grid 5 --out viz.csv --svg viz.svg",
+    ]
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        mp.setattr("sys.stdout", stdout)
+        csvio.export_csv(Dataset(features, tuple("abc"[i // 10] for i in range(30))),
+                         "three.csv")
+        for command in commands:
+            assert main(command.split()) == 0, command
+    return workdir, stdout.getvalue()
+
+
+def _artifact_sha(path):
+    if path.name in ("bench.json", "cv.json"):
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert serialize.canonical_json(payload) + "\n" == text
+        data = (serialize.canonical_json(_drop_timing(payload)) + "\n").encode()
+    else:
+        data = path.read_bytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenRun:
+    def test_artifacts_byte_identical(self, golden_run):
+        workdir, _ = golden_run
+        found = {path.name: _artifact_sha(path) for path in sorted(workdir.iterdir())}
+        assert found == GOLDEN_ARTIFACT_SHA256
+
+    def test_stdout_unchanged(self, golden_run):
+        _, stdout = golden_run
+        assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_STDOUT_SHA256
+
+    def test_bench_table(self, golden_run):
+        # paper layout: one column per p, "mean (sd)" cells of the method
+        # row, then the two KL conventions, all to two decimals
+        workdir, _ = golden_run
+        reports = json.loads((workdir / "bench.json").read_text())["reports"]
+        lines = (workdir / "bench.csv").read_text(encoding="utf-8").split("\n")
+        assert lines[0].startswith("# rpeqda ") and lines[-1] == ""
+        assert lines[1] == "method,64,128"
+        cells = [f"{r['misclassification']['mean']:.2f} ({r['misclassification']['sd']:.2f})"
+                 for r in reports]
+        assert all(re.fullmatch(r"\d\.\d\d \(\d\.\d\d\)", cell) for cell in cells)
+        assert lines[2] == "RPE-SN (B=10, d=3)," + ",".join(cells)
+        for line, (name, key) in zip(lines[3:5], (("KL/p", "kl_min_over_p"),
+                                                  ("2KL/p", "two_kl_min_over_p"))):
+            assert line == name + "," + ",".join(f"{r['kl'][key]:.2f}" for r in reports)
+        assert len(lines) == 6

@@ -22,6 +22,8 @@ from rpeqda.errors import (
 from rpeqda.randproj import ProjectionFamily
 from rpeqda.rng import PROJECTION_TAG, mix
 
+from oracles import helmert_theta
+
 
 class TestMisclassification:
     def test_all_correct(self):
@@ -355,6 +357,27 @@ class TestThetaLowerBound:
         oracle = self.dense_oracle(data)
         denom = np.maximum(np.abs(oracle), 1e-12)
         assert np.max(np.abs(theta.values - oracle) / denom) <= 1e-8
+
+    def test_centered_factor_matches_helmert_factor(self):
+        # criterion 10's 20 instances and a 3-class case: the n_k x n_k Gram
+        # of the centered rows gives the rank-(n_k - 1) Helmert factor's
+        # values; the Woodbury identity needs only U U' = Sigma_hat_k
+        cases = []
+        for seed in range(20):
+            rng = np.random.default_rng(9000 + seed)
+            p = int(rng.integers(4, 257))
+            n1, n2 = int(rng.integers(3, 14)), int(rng.integers(3, 14))
+            x = np.vstack([rng.standard_normal((n1, p)),
+                           rng.standard_normal((n2, p)) + rng.standard_normal(p)])
+            cases.append(Dataset(x, ("a",) * n1 + ("b",) * n2))
+        rng = np.random.default_rng(27)
+        x = np.vstack([rng.standard_normal((10, 6)) * scale + shift
+                       for scale, shift in ((1.0, 0.0), (1.5, 1.0), (0.7, -1.0))])
+        cases.append(Dataset(x, tuple("abc"[i // 10] for i in range(30))))
+        for data in cases:
+            want = helmert_theta(data)
+            got = evaluate.theta_lower_bound(data).values
+            assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-12
 
     def test_too_few_samples(self):
         data = Dataset(np.zeros((3, 2)), ("a", "a", "b"))

@@ -118,16 +118,3 @@ class TestModelPersistence:
         path.write_text('{"schema": "other/9"}')
         with pytest.raises(ValueError):
             serialize.load_model(path)
-
-
-class TestTableCsv:
-    def test_layout(self):
-        rows = {
-            "RPE-SN (B=200, d=10)": {512: (0.061, 0.013), 1024: (0.04, 0.01)},
-            "KL/p": {512: 0.0356, 1024: 0.0367},
-        }
-        text = serialize.benchmark_table_csv(rows, [512, 1024])
-        lines = text.strip().split("\n")
-        assert lines[0] == "method,512,1024"
-        assert lines[1] == "RPE-SN (B=200, d=10),0.06 (0.01),0.04 (0.01)"
-        assert lines[2] == "KL/p,0.04,0.04"
