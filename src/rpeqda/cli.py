@@ -107,7 +107,7 @@ def cmd_bench(args) -> int:
     # paper layout: one column per p; the method row's cells are "mean (sd)"
     method = f"RPE-{'SN' if config.family is ProjectionFamily.STANDARD_NORMAL else 'STP'}"
     d = config.d if config.d is not None else "auto"
-    rows = [f"{method} (B={config.B}, d={d})," + ",".join(
+    rows = [f"{method} (B={config.B}; d={d})," + ",".join(
                 f"{r.mean:.2f} ({r.sd:.2f})" for r in reports),
             "KL/p," + ",".join(f"{r.kl['kl_min_over_p']:.2f}" for r in reports),
             "2KL/p," + ",".join(f"{r.kl['two_kl_min_over_p']:.2f}" for r in reports)]

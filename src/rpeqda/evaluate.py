@@ -80,13 +80,13 @@ class EvalReport:
         return out
 
 
-def misclassification(predictions, truth, priors=None) -> float:
-    """Prior-weighted empirical misclassification sum_k pi_k * phat_k.
+def misclassification(predictions, truth) -> float:
+    """Empirical misclassification sum_k pi_k * phat_k, weighted by the
+    test-set class proportions pi_k = n_k / n.
 
-    ``phat_k`` is the fraction of truth-class-k points predicted wrongly.
-    With ``priors=None`` the weights are the test-set class proportions,
-    which reduces to the plain error fraction.  Explicit priors are given
-    as a mapping from class label to weight.
+    ``phat_k`` is the fraction of truth-class-k points predicted wrongly,
+    so the sum is the plain error fraction; it is accumulated class by
+    class, in first-appearance order.
     """
     if len(predictions) != len(truth):
         raise LengthMismatch(
@@ -101,8 +101,7 @@ def misclassification(predictions, truth, priors=None) -> float:
     for label in class_order:
         hits = [p != t for p, t in zip(predictions, truth) if t == label]
         phat = sum(hits) / len(hits)
-        weight = priors[label] if priors is not None else len(hits) / n
-        total += weight * phat
+        total += len(hits) / n * phat
     return total
 
 
@@ -307,18 +306,15 @@ class AlignmentCheck:
     scaled_ensemble_mean: float
     ensemble_seconds: float
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The check's results, without its wall-clock times."""
+        return {
             "p": self.p, "draws": self.draws, "kl_over_p": self.kl_over_p,
             "mean_abs_deviation": self.mean_abs_deviation,
             "ensemble_d": self.ensemble_d, "ensemble_B": self.ensemble_B,
             "positive_count": self.positive_count,
             "scaled_ensemble_mean": self.scaled_ensemble_mean,
         }
-        if include_timing:
-            out["timing"] = {"classical_seconds": self.classical_seconds,
-                             "ensemble_seconds": self.ensemble_seconds}
-        return out
 
 
 @_one_blas_thread()
@@ -338,8 +334,7 @@ def theorem_alignment_check(spec: schemes.SchemeSpec, draws: int, seed: int,
 
     start = time.perf_counter()
     z_rows = schemes.sample(spec, 1, draws, mix(seed, DRAW_TAG))
-    scores = qda.population_class_scores(
-        [(pop.prior, pop.mean, pop.cov) for pop in pops], z_rows)
+    scores = qda.population_class_scores(pops, z_rows)
     disc = scores[:, 0] - scores[:, 1]
     mean_abs_dev = float(np.mean(np.abs(disc / p - kl_over_p)))
     classical_seconds = time.perf_counter() - start
@@ -349,8 +344,7 @@ def theorem_alignment_check(spec: schemes.SchemeSpec, draws: int, seed: int,
         B=B, d=d,
         family=family if family is not None else rpe.ProjectionFamily.STANDARD_NORMAL,
         master_seed=mix(seed, PROJECTION_TAG))
-    ens_scores = rpe.population_rpe_scores(
-        [(pop.prior, pop.mean, pop.cov) for pop in pops], p, config, z_rows)
+    ens_scores = rpe.population_rpe_scores(pops, p, config, z_rows)
     ens_disc = (ens_scores[:, 0] - ens_scores[:, 1]) / d
     ensemble_seconds = time.perf_counter() - start
     return AlignmentCheck(

@@ -114,8 +114,9 @@ def population_class_scores(populations, z_rows: np.ndarray) -> np.ndarray:
     """Scores under known parameters, for covariances given as structured
     handles (anything with ``solve`` and ``log_det``).
 
-    ``populations`` is a sequence of (prior, mean, covariance) triples;
-    ``z_rows`` is (m, p); any other shape raises ``DimensionMismatch``.
+    ``populations`` is a sequence of (prior, mean, covariance) triples,
+    such as a ``schemes.SchemeSpec``'s ``Population`` tuples; ``z_rows`` is
+    (m, p); any other shape raises ``DimensionMismatch``.
     Returns (m, J).  The ambient covariance is never materialized:
     quadratic forms go through the handle's exact solve.
     """

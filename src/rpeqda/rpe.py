@@ -31,9 +31,12 @@ mix(master_seed, b, attempt) for attempt = 1, 2, ... up to
 A known-parameter (population) mode builds each member from exact moments:
 projected mean R mu_k and projected covariance R Sigma_k R', with Sigma_k
 applied columnwise through a structured handle so the ambient covariance
-is never materialized.  Its members are built and scored in chunks; a
-chunk holds as many members as fit in ``POPULATION_CHUNK_BYTES``, so the
-member arrays alive at once (one chunk per thread) do not grow with B.
+is never materialized.  It takes the classes as (prior, mean, covariance
+handle) triples, such as ``schemes.Population``.  Its members are built
+and scored in chunks; a chunk is one :func:`_tiles` tile of members, as
+many as fit in ``POPULATION_CHUNK_BYTES`` (the budget the scoring kernel's
+tiles share), so the member arrays alive at once (one chunk per thread)
+do not grow with B.
 Each handle applies Sigma_k to a chunk's m·d matrix rows in one call, taken
 from the chunk's stacked operator (``randproj._stacked``: for sn the block
 the chunk's matrices were drawn into, for stp made dense).
@@ -196,6 +199,17 @@ def _require_finite(x: np.ndarray, what: str) -> None:
             raise NonFiniteInput(f"{what}: row {row} holds a non-finite value")
 
 
+def _rows_to_score(z_rows, p: int, against: str) -> np.ndarray:
+    """``z_rows`` as a float64 (m, p) array of finite values; another
+    shape raises ``DimensionMismatch`` naming ``against``, a non-finite
+    value ``NonFiniteInput``."""
+    z_rows = np.asarray(z_rows, dtype=np.float64)
+    if z_rows.ndim != 2 or z_rows.shape[1] != p:
+        raise DimensionMismatch(f"rows of shape {z_rows.shape} against {against} with p={p}")
+    _require_finite(z_rows, "rows to score")
+    return z_rows
+
+
 def _fit_stack(config: RpeConfig, p: int, members, moments) -> MemberStack:
     """Draw and factor the given members (1-based indices, in order).
 
@@ -305,11 +319,7 @@ def rpe_scores_rows(model: RpeModel, z_rows: np.ndarray) -> np.ndarray:
     floating-point result independent of any parallel schedule.  Rows are
     scored in blocks of at most ``_SCORE_BLOCK_BYTES`` of member arrays.
     """
-    z_rows = np.asarray(z_rows, dtype=np.float64)
-    if z_rows.ndim != 2 or z_rows.shape[1] != model.p:
-        raise DimensionMismatch(
-            f"rows of shape {z_rows.shape} against model with p={model.p}")
-    _require_finite(z_rows, "rows to score")
+    z_rows = _rows_to_score(z_rows, model.p, "model")
     n_classes = len(model.class_labels)
     acc = np.zeros((z_rows.shape[0], n_classes))
     row_bytes = 8 * len(model.members) * model.config.d * (1 + 2 * n_classes)
@@ -361,41 +371,31 @@ def _population_moments(populations, p: int, d: int):
     return moments
 
 
-def _population_chunks(p: int, config: RpeConfig, classes: int, rows: int) -> list:
-    """Members 1..B cut into ranges, in member order, each sized so that
-    two copies of its matrices (the dense stacked operator and a class
-    covariance applied to it) and the projected class offsets of ``rows``
-    points take about ``POPULATION_CHUNK_BYTES``."""
-    member_bytes = 8 * config.d * (2 * p + classes * rows)
-    size = max(1, POPULATION_CHUNK_BYTES // member_bytes)
-    return [range(first, min(first + size, config.B + 1))
-            for first in range(1, config.B + 1, size)]
-
-
 @_one_blas_thread()
 def population_rpe_scores(populations, p: int, config: RpeConfig,
                           z_rows: np.ndarray) -> np.ndarray:
     """Averaged per-class scores under known parameters for each row of
     an (m, p) array.
 
-    Members are fitted and scored a chunk at a time (see
-    :func:`_population_chunks`), the first half of the chunks on the
-    calling thread and the second on the worker.  Each half returns one
-    (members, rows, J) array per chunk, and the scores are added once
-    both halves are done, in member-index order, so the sum does not
-    depend on the chunk size or the schedule; the first member (in member
-    order) that cannot be fitted raises ``MemberDegenerate``.
+    Members are fitted and scored a chunk at a time, the first half of
+    the chunks on the calling thread and the second on the worker.  A
+    chunk is a :func:`_tiles` tile of members at 8·d·(2p + J·rows) bytes
+    a member: two copies of its matrices (the dense stacked operator and
+    a class covariance applied to it) and the projected class offsets of
+    the rows.  Each half returns one (members, rows, J) array per chunk,
+    and the scores are added once both halves are done, in member-index
+    order, so the sum does not depend on the chunk size or the schedule;
+    the first member (in member order) that cannot be fitted raises
+    ``MemberDegenerate``.
     """
-    z_rows = np.asarray(z_rows, dtype=np.float64)
-    if z_rows.ndim != 2 or z_rows.shape[1] != p:
-        raise DimensionMismatch(
-            f"rows of shape {z_rows.shape} against populations with p={p}")
-    _require_finite(z_rows, "rows to score")
+    z_rows = _rows_to_score(z_rows, p, "populations")
     if config.d is None:
         config = replace(config, d=default_reduced_dim(p))
     priors = [prior for prior, _, _ in populations]
     moments = _population_moments(populations, p, config.d)
-    chunks = _population_chunks(p, config, len(populations), z_rows.shape[0])
+    member_bytes = 8 * config.d * (2 * p + len(populations) * z_rows.shape[0])
+    chunks = [range(1, config.B + 1)[members]
+              for members, _ in _tiles(config.B, 1, member_bytes)]
 
     def half(lo, hi):
         return [_member_scores(_fit_stack(config, p, members, moments), priors, z_rows)

@@ -14,6 +14,7 @@ to that integer despite one-ulp libm undershoot.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +49,10 @@ def _floor_power(p: int, exponent: float) -> int:
     return int(math.floor(p ** exponent + _FLOOR_NUDGE))
 
 
-@dataclass(frozen=True)
-class Population:
-    """Known parameters (prior, mean, covariance handle) of one class."""
+class Population(NamedTuple):
+    """Known parameters of one class: the (prior, mean, covariance handle)
+    triple that ``qda.population_class_scores`` and
+    ``rpe.population_rpe_scores`` take."""
 
     prior: float
     mean: np.ndarray
@@ -64,7 +66,6 @@ class SchemeSpec:
     scheme_id: str
     p: int
     populations: tuple
-    details: dict
 
 
 def _scheme1(p: int) -> SchemeSpec:
@@ -92,10 +93,8 @@ def _scheme1(p: int) -> SchemeSpec:
     mean2 = np.zeros(p)
     mean2[p - 2 * half_width:p - half_width] = 1.0
     mean2[p - half_width:] = -1.0
-    details = {"p11": p11, "p12": p12, "p13": p13,
-               "p21": p21, "p22": p22, "p23": p23, "l": half_width}
     return SchemeSpec("s1", p, (Population(0.5, mean1, cov1),
-                                Population(0.5, mean2, cov2)), details)
+                                Population(0.5, mean2, cov2)))
 
 
 def _equi_block_cov(p, n_blocks, block_size, rho):
@@ -103,7 +102,7 @@ def _equi_block_cov(p, n_blocks, block_size, rho):
     remainder = p - n_blocks * block_size
     if remainder > 0:
         blocks.append(IdentityCovariance(remainder))
-    return BlockDiagonal(blocks), remainder
+    return BlockDiagonal(blocks)
 
 
 def _scheme2(p: int) -> SchemeSpec:
@@ -112,13 +111,11 @@ def _scheme2(p: int) -> SchemeSpec:
     nb2, bs2 = _floor_power(p, 0.3), _floor_power(p, 0.7)
     if min(nb1, bs1, nb2, bs2) < 1:
         raise DimensionTooSmall(f"scheme s2 undefined at p={p}")
-    cov1, rem1 = _equi_block_cov(p, nb1, bs1, rho)
-    cov2, rem2 = _equi_block_cov(p, nb2, bs2, rho)
+    cov1 = _equi_block_cov(p, nb1, bs1, rho)
+    cov2 = _equi_block_cov(p, nb2, bs2, rho)
     zero = np.zeros(p)
-    details = {"n_blocks_1": nb1, "block_size_1": bs1, "identity_1": rem1,
-               "n_blocks_2": nb2, "block_size_2": bs2, "identity_2": rem2}
     return SchemeSpec("s2", p, (Population(0.5, zero, cov1),
-                                Population(0.5, zero.copy(), cov2)), details)
+                                Population(0.5, zero.copy(), cov2)))
 
 
 def _scheme3(p: int) -> SchemeSpec:
@@ -128,8 +125,7 @@ def _scheme3(p: int) -> SchemeSpec:
     cov2 = ScaledCovariance(cov1, 1.3)
     zero = np.zeros(p)
     return SchemeSpec("s3", p, (Population(0.5, zero, cov1),
-                                Population(0.5, zero.copy(), cov2)),
-                      {"rho": 0.9, "scale_ratio": 1.3})
+                                Population(0.5, zero.copy(), cov2)))
 
 
 def _scheme4(p: int, structure_seed: int) -> SchemeSpec:
@@ -148,8 +144,7 @@ def _scheme4(p: int, structure_seed: int) -> SchemeSpec:
     cov2 = BlockDiagonal([IdentityCovariance(p - spike_dim), spike2])
     zero = np.zeros(p)
     return SchemeSpec("s4", p, (Population(0.5, zero, cov1),
-                                Population(0.5, zero.copy(), cov2)),
-                      {"l": spike_dim, "lam_top": float(lam[0])})
+                                Population(0.5, zero.copy(), cov2)))
 
 
 def _require_positive_dimension(p) -> None:
@@ -184,8 +179,8 @@ def build_example2(p: int, c: float, r: int, spike_bound: float = 10.0,
     P has r orthonormal columns drawn once from a seeded Gaussian block
     (QR with positive-diagonal convention); gamma is uniform on
     [1, spike_bound).  r = 0 gives Sigma = ``IdentityCovariance(p)``.  A
-    non-finite ``c`` or ``spike_bound`` (at any r, since the spec records
-    it) raises ``InvalidCovariance``.
+    non-finite ``c`` or ``spike_bound`` (at any r) raises
+    ``InvalidCovariance``.
     """
     _require_positive_dimension(p)
     if not 0 <= r <= p:
@@ -203,8 +198,7 @@ def build_example2(p: int, c: float, r: int, spike_bound: float = 10.0,
     zero = np.zeros(p)
     return SchemeSpec("example2", p,
                       (Population(0.5, zero, base),
-                       Population(0.5, zero.copy(), ScaledCovariance(base, c))),
-                      {"c": c, "r": r, "spike_bound": spike_bound})
+                       Population(0.5, zero.copy(), ScaledCovariance(base, c))))
 
 
 def _check_blocks(out, n: int, p: int) -> None:

@@ -131,7 +131,7 @@ def theorem_payload(fresh=False):
         spec = schemes.build_example2(2000, c=2.0, r=0, seed=1)
         check = evaluate.theorem_alignment_check(
             spec, draws=100, seed=THEOREM_SEED, d=8, B=2000)
-        payload = {"summary": check.to_dict(include_timing=False),
+        payload = {"summary": check.to_dict(),
                    "classical_seconds": check.classical_seconds,
                    "ensemble_seconds": check.ensemble_seconds}
         if fresh:
@@ -238,7 +238,7 @@ def population_mean(scheme, p, family):
     rows from mix(DATA_SEED, r, k) and seeds its projections from
     mix(DATA_SEED, r, PROJECTION_TAG)."""
     spec = schemes.build_scheme(scheme, p, mix(DATA_SEED, STRUCTURE_TAG))
-    pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+    pops = spec.populations
     truth = [k for k in (1, 2) for _ in range(N_TEST)]
     errors = []
     for r in range(1, REPS + 1):

@@ -819,7 +819,7 @@ def _drop_timing(payload):
 # SHA-256 of every artifact of ``golden_run``; a JSON report is hashed in
 # canonical form without its timing blocks, which hold wall-clock times
 GOLDEN_ARTIFACT_SHA256 = {
-    "bench.csv": "fe101add7bc70a60fb741d78b7294553d44077291382c12e4f7c6ccd158ca018",
+    "bench.csv": "cf93b7a245b712752867b95294e4343d4750246b16259df5c2a5edca96e0728f",
     "bench.json": "298d393ed59bcf84c1070bce45acf1f3c971bbb9265a330a2f0863adaae49d13",
     "compact.json": "2fb2255764c5ac0ef45934150b7cd54489f575bc60948b2310fe5ac6b4ed6e89",
     "cv.json": "004828dea16df175f667315aa5efff55f2c5639072b47b52536c17a27edbdc44",
@@ -887,6 +887,17 @@ class TestGoldenRun:
         _, stdout = golden_run
         assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_STDOUT_SHA256
 
+    def test_every_csv_row_has_the_header_width(self, golden_run):
+        # csvio's grammar has no quoting, so a comma inside a cell adds a field
+        workdir, _ = golden_run
+        ragged = []
+        for path in sorted(workdir.glob("*.csv")):
+            lines = [line for line in path.read_text(encoding="utf-8").split("\n")
+                     if line and not line.startswith("#")]
+            if {line.count(",") for line in lines} != {lines[0].count(",")}:
+                ragged.append(path.name)
+        assert ragged == []
+
     def test_bench_table(self, golden_run):
         # paper layout: one column per p, "mean (sd)" cells of the method
         # row, then the two KL conventions, all to two decimals
@@ -898,7 +909,7 @@ class TestGoldenRun:
         cells = [f"{r['misclassification']['mean']:.2f} ({r['misclassification']['sd']:.2f})"
                  for r in reports]
         assert all(re.fullmatch(r"\d\.\d\d \(\d\.\d\d\)", cell) for cell in cells)
-        assert lines[2] == "RPE-SN (B=10, d=3)," + ",".join(cells)
+        assert lines[2] == "RPE-SN (B=10; d=3)," + ",".join(cells)
         for line, (name, key) in zip(lines[3:5], (("KL/p", "kl_min_over_p"),
                                                   ("2KL/p", "two_kl_min_over_p"))):
             assert line == name + "," + ",".join(f"{r['kl'][key]:.2f}" for r in reports)

@@ -33,11 +33,10 @@ class TestMisclassification:
         assert evaluate.misclassification(["b", "a"], ["a", "b"]) == 1.0
 
     def test_prior_weighted_arithmetic(self):
-        # phat_1 = 0.1, phat_2 = 0.2, equal priors -> 0.15
+        # phat_1 = 0.1, phat_2 = 0.2, equal priors on a balanced truth -> 0.15
         truth = ["1"] * 10 + ["2"] * 10
         predictions = ["1"] * 9 + ["2"] + ["2"] * 8 + ["1"] * 2
-        got = evaluate.misclassification(predictions, truth,
-                                         priors={"1": 0.5, "2": 0.5})
+        got = evaluate.misclassification(predictions, truth)
         assert got == pytest.approx(0.15)
 
     def test_default_priors_are_test_proportions(self):

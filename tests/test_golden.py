@@ -188,7 +188,7 @@ def test_scheme_experiment_report(scheme):
 def test_alignment_check_report():
     spec = schemes.build_example2(400, c=2.0, r=0, seed=1)
     check = evaluate.theorem_alignment_check(spec, draws=40, seed=7, d=8, B=60)
-    text = serialize.canonical_json(check.to_dict(include_timing=False))
+    text = serialize.canonical_json(check.to_dict())
     assert _sha([text.encode()]) == ALIGNMENT_SHA256
 
 
@@ -198,7 +198,7 @@ def _alignment_sha(name, p, family=None):
     else:
         spec = schemes.build_scheme(name, p)
     check = evaluate.theorem_alignment_check(spec, draws=40, seed=7, d=8, B=60, family=family)
-    return _sha([serialize.canonical_json(check.to_dict(include_timing=False)).encode()])
+    return _sha([serialize.canonical_json(check.to_dict()).encode()])
 
 
 @pytest.mark.parametrize("name, p", list(ALIGNMENT_FILL_SHA256))

@@ -25,11 +25,12 @@ FIRST_USES = textwrap.dedent("""
         # 40 members of p = 2000, d = 8 make five chunks, split over the
         # two threads, each building a sparse stacked operator
         spec = schemes.build_example2(2000, c=2.0, r=0, seed=1)
-        pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+        pops = spec.populations
         config = rpe.RpeConfig(B=40, d=8, family=ProjectionFamily.SPARSE_THREE_POINT,
                                master_seed=5)
         rows = np.random.default_rng(6).standard_normal((4, 2000))
-        assert len(rpe._population_chunks(2000, config, len(pops), len(rows))) >= 2
+        member_bytes = 8 * config.d * (2 * 2000 + len(pops) * len(rows))
+        assert len(rpe._tiles(config.B, 1, member_bytes)) >= 2
         return rpe.population_rpe_scores(pops, 2000, config, rows)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from rpeqda import linalg, qda, randproj, rpe, schemes
+from rpeqda.covariance import IdentityCovariance
 from rpeqda.dataset import Dataset
 from rpeqda.errors import (
     DimensionMismatch,
@@ -340,7 +341,7 @@ class TestScores:
     def test_population_chunk_is_one_tile(self):
         # the population workload's chunks: 7 members, 100 rows, two classes
         config = rpe.RpeConfig(B=500, d=8)
-        chunk = rpe._population_chunks(2000, config, 2, 100)[0]
+        chunk = population_chunks(2000, config, 2, 100)[0]
         assert len(chunk) == 7
         assert rpe._tiles(7, 100, 16 * 2 * 8) == [(slice(0, 7), slice(0, 100))]
 
@@ -452,7 +453,7 @@ class TestPopulationMode:
 
     def test_no_rows_give_no_scores(self):
         spec = schemes.build_example2(40, c=2.0, r=0, seed=1)
-        pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+        pops = spec.populations
         scores = rpe.population_rpe_scores(pops, 40, rpe.RpeConfig(B=5, d=3),
                                            np.zeros((0, 40)))
         assert scores.shape == (0, 2)
@@ -461,7 +462,7 @@ class TestPopulationMode:
         # members of a (Sigma, c Sigma) pair carry log-det difference
         # d log c exactly, checked against dense computation at p = 50
         spec = schemes.build_example2(50, c=2.0, r=3, spike_bound=4.0, seed=2)
-        pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+        pops = spec.populations
         config = rpe.RpeConfig(B=4, d=6, master_seed=66)
         dense_cov = dense(spec.populations[0].cov)
         members = 0
@@ -510,12 +511,20 @@ def oracle_population_scores(populations, p, config, z_rows):
     return acc / config.B
 
 
+def population_chunks(p, config, classes, rows):
+    """The member ranges ``population_rpe_scores`` fits: ``rpe._tiles``
+    tiles of members at 8·d·(2p + J·rows) bytes a member."""
+    member_bytes = 8 * config.d * (2 * p + classes * rows)
+    return [range(1, config.B + 1)[members]
+            for members, _ in rpe._tiles(config.B, 1, member_bytes)]
+
+
 def population_stacks(populations, p, config, rows=0):
     """The population-mode ensemble as MemberStack chunks in member order,
     fitted from the chunks and moments ``population_rpe_scores`` uses."""
     moments = rpe._population_moments(populations, p, config.d)
     return [rpe._fit_stack(config, p, members, moments)
-            for members in rpe._population_chunks(p, config, len(populations), rows)]
+            for members in population_chunks(p, config, len(populations), rows)]
 
 
 def serial_population_scores(populations, p, config, z_rows):
@@ -556,13 +565,45 @@ class TestPopulationStacks:
         want = oracle_population_scores(pops, p, config, z_rows)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("p, B, d, priors, rows, budget, sizes", [
+        # the population workload: 7 members a chunk
+        (2000, 500, 8, (0.5, 0.5), 100, None, [7] * 71 + [3]),
+        # one member takes more than the budget: chunks of one
+        (40, 5, 3, (0.4, 0.6), 4, 1000, [1] * 5),
+        # B below one chunk: a single chunk
+        (40, 5, 3, (0.4, 0.6), 4, None, [5]),
+        # a budget of exactly three members of three classes, and one byte less
+        (40, 7, 3, (0.3, 0.3, 0.4), 4, 3 * 8 * 3 * (2 * 40 + 3 * 4), [3, 3, 1]),
+        (40, 7, 3, (0.3, 0.3, 0.4), 4, 3 * 8 * 3 * (2 * 40 + 3 * 4) - 1, [2, 2, 2, 1]),
+    ])
+    def test_chunk_boundaries(self, monkeypatch, p, B, d, priors, rows, budget, sizes):
+        # the member ranges fitted, pinned: a member takes 8·d·(2p + J·rows)
+        # bytes and a chunk holds as many members as fit the budget
+        if budget is not None:
+            monkeypatch.setattr(rpe, "POPULATION_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(33)
+        pops = [(prior, rng.standard_normal(p), IdentityCovariance(p)) for prior in priors]
+        fitted = []
+        real = rpe._fit_stack
+
+        def recording(config, dim, members, moments):
+            fitted.append(members)
+            return real(config, dim, members, moments)
+
+        monkeypatch.setattr(rpe, "_fit_stack", recording)
+        z_rows = np.random.default_rng(34).standard_normal((rows, p))
+        rpe.population_rpe_scores(pops, p, rpe.RpeConfig(B=B, d=d, master_seed=3), z_rows)
+        firsts = np.cumsum([1] + sizes[:-1])
+        assert sorted(fitted, key=lambda members: members[0]) == [
+            range(first, first + size) for first, size in zip(firsts, sizes)]
+
     def test_scores_independent_of_chunk_size(self, monkeypatch):
         # Structured handles apply Sigma to each column on its own, so a
         # member scores bit-identically whichever chunk holds it; a dense
         # handle's BLAS product may round differently with the column count.
         rng = np.random.default_rng(31)
         spec = schemes.build_example2(40, c=2.0, r=3, spike_bound=4.0, seed=4)
-        structured = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+        structured = spec.populations
         dense = random_populations(rng, 40, priors=(0.3, 0.3, 0.4))
         config = rpe.RpeConfig(B=11, d=4, master_seed=8)
         z_rows = rng.standard_normal((13, 40))
@@ -570,7 +611,7 @@ class TestPopulationStacks:
             results = []
             for budget in (1, 10 ** 9):
                 monkeypatch.setattr(rpe, "POPULATION_CHUNK_BYTES", budget)
-                chunks = len(rpe._population_chunks(40, config, len(pops), 13))
+                chunks = len(population_chunks(40, config, len(pops), 13))
                 assert chunks == (11 if budget == 1 else 1)
                 results.append(rpe.population_rpe_scores(pops, 40, config, z_rows))
             np.testing.assert_allclose(results[0], results[1], rtol=rtol, atol=0)
@@ -605,11 +646,11 @@ class TestPopulationStacks:
         # both halves keep their chunks' scores, added after both are done:
         # the same member-order sum as one thread fitting chunk after chunk
         spec = schemes.build_example2(40, c=2.0, r=3, spike_bound=4.0, seed=4)
-        pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+        pops = spec.populations
         z_rows = np.random.default_rng(32).standard_normal((13, 40))
         config = rpe.RpeConfig(B=B, d=4, family=family, master_seed=9)
         self._set_chunk(monkeypatch, members, 4, 40, pops, len(z_rows))
-        assert len(rpe._population_chunks(40, config, 2, len(z_rows))) == chunks
+        assert len(population_chunks(40, config, 2, len(z_rows))) == chunks
         got = rpe.population_rpe_scores(pops, 40, config, z_rows)
         assert np.array_equal(got, serial_population_scores(pops, 40, config, z_rows))
 
@@ -627,7 +668,7 @@ class TestPopulationStacks:
         z_rows = rng.standard_normal((5, 10))
         config = rpe.RpeConfig(B=8, d=3, master_seed=12, max_regen_retries=0)
         self._set_chunk(monkeypatch, 2, 3, 10, pops, len(z_rows))
-        assert len(rpe._population_chunks(10, config, 2, len(z_rows))) == 4
+        assert len(population_chunks(10, config, 2, len(z_rows))) == 4
         bad_seeds = {rpe.member_seed(12, b) for b in bad}
         real = rpe._population_moments
 

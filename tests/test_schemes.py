@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from rpeqda import linalg, schemes
+from rpeqda.covariance import EquiCorrelation, IdentityCovariance, RotatedSpike
 from rpeqda.errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -42,8 +43,9 @@ def kl_divergence_dense(a, b) -> float:
 class TestBuildScheme:
     def test_s1_sizes_at_512(self):
         spec = build_scheme("s1", 512)
-        assert spec.details == {"p11": 64, "p12": 8, "p13": 440,
-                                "p21": 22, "p22": 22, "p23": 468, "l": 21}
+        cov1, cov2 = (pop.cov for pop in spec.populations)
+        assert [block.p for block in cov1.blocks] == [64, 8, 440]
+        assert [block.p for block in cov2.blocks] == [22, 22, 468]
         mean2 = spec.populations[1].mean
         assert np.sum(mean2 == 1.0) == 21
         assert np.sum(mean2 == -1.0) == 21
@@ -55,17 +57,20 @@ class TestBuildScheme:
 
     def test_s2_sizes_at_512(self):
         spec = build_scheme("s2", 512)
-        d = spec.details
-        assert (d["n_blocks_1"], d["block_size_1"]) == (12, 42)
-        assert (d["n_blocks_2"], d["block_size_2"]) == (6, 78)
-        assert d["identity_1"] == 512 - 12 * 42
-        assert d["identity_2"] == 512 - 6 * 78
+        cov1, cov2 = (pop.cov for pop in spec.populations)
+        for cov, n_blocks, block_size in ((cov1, 12, 42), (cov2, 6, 78)):
+            assert [type(block) for block in cov.blocks] == (
+                [EquiCorrelation] * n_blocks + [IdentityCovariance])
+            assert [block.p for block in cov.blocks] == (
+                [block_size] * n_blocks + [512 - n_blocks * block_size])
 
     def test_s4_sizes_at_512(self):
         spec = build_scheme("s4", 512, structure_seed=3)
-        assert spec.details["l"] == 22
-        assert spec.details["lam_top"] == pytest.approx(512 ** 0.6, rel=1e-12)
-        assert spec.details["lam_top"] == pytest.approx(42.2243, abs=5e-5)
+        spike = spec.populations[0].cov.blocks[0]
+        assert isinstance(spike, RotatedSpike)
+        assert spike.p == 22
+        assert spike.lam[0] == pytest.approx(512 ** 0.6, rel=1e-12)
+        assert spike.lam[0] == pytest.approx(42.2243, abs=5e-5)
 
     def test_s4_structure_seed_changes_rotation_not_kl(self):
         a = build_scheme("s4", 128, structure_seed=1)
@@ -262,7 +267,7 @@ class TestKlOracle:
     def test_s4_closed_form_at_128(self):
         # both directed divergences equal (tr(Lam) + tr(1/Lam) - 2l) / 2
         spec = build_scheme("s4", 128, structure_seed=4)
-        spike_dim = spec.details["l"]
+        spike_dim = spec.populations[0].cov.blocks[0].p
         lam = 128 ** 0.6 - np.arange(spike_dim)
         closed = 0.5 * (np.sum(lam) + np.sum(1.0 / lam) - 2 * spike_dim)
         a, b = spec.populations

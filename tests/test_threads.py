@@ -68,7 +68,7 @@ def toy_data(seed=1, p=12):
 
 def population_call():
     spec = schemes.build_example2(40, c=2.0, r=0, seed=1)
-    pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+    pops = spec.populations
     return rpe.population_rpe_scores(pops, 40, rpe.RpeConfig(B=20, d=3), np.zeros((4, 40)))
 
 
@@ -254,7 +254,7 @@ class TestNestedSplits:
         # call splits its chunks over its own thread and the shared worker,
         # and every result must equal the one-thread-at-a-time result
         spec = schemes.build_example2(40, c=2.0, r=3, spike_bound=4.0, seed=5)
-        pops = [(pop.prior, pop.mean, pop.cov) for pop in spec.populations]
+        pops = spec.populations
         z_rows = np.random.default_rng(6).standard_normal((6, 40))
         config = rpe.RpeConfig(B=20, d=3, master_seed=3)
         # chunks of 3 members: 7 chunks per call
@@ -291,7 +291,7 @@ ALIGNMENT_SCRIPT = """
 from rpeqda import evaluate, schemes, serialize
 spec = schemes.build_example2(500, c=2.0, r=0, seed=1)
 check = evaluate.theorem_alignment_check(spec, draws=50, seed=424242, d=8, B=100)
-print(serialize.canonical_json(check.to_dict(include_timing=False)))
+print(serialize.canonical_json(check.to_dict()))
 """
 
 
